@@ -172,16 +172,13 @@ impl IngestMetrics {
     }
 }
 
-/// Mutable engine internals. One mutex covers the queue, the WAL, and
-/// the applied log so WAL append order always equals queue order —
-/// that ordering is what makes crash replay deterministic.
+/// Mutable engine internals. One mutex covers the queue and the WAL so
+/// WAL append order always equals queue order — that ordering is what
+/// makes crash replay deterministic.
 #[derive(Debug)]
 struct Inner {
     queue: VecDeque<WalEntry>,
     wal: Option<Wal>,
-    /// Entries applied to the published snapshot, ascending by seq;
-    /// rewritten into the checkpoint after each epoch.
-    applied: Vec<WalEntry>,
     next_seq: u64,
     total_accepted: u64,
     total_applied: u64,
@@ -209,30 +206,22 @@ pub struct IngestEngine {
 
 impl IngestEngine {
     /// Opens the engine over a base dataset: replays the WAL (when
-    /// configured), merges every surviving record, cold-builds the
-    /// epoch-0 snapshot on the merged dataset, and rewrites the
-    /// checkpoint so replayed segments are compacted away.
+    /// configured), merges every surviving record, and cold-builds the
+    /// epoch-0 snapshot on the merged dataset. Replay rewrites nothing.
     ///
     /// # Errors
     ///
     /// WAL I/O or corruption errors, merge failures, and pipeline
     /// failures from the cold build.
     pub fn open(base: Dataset, config: IngestConfig) -> Result<IngestEngine, IngestError> {
-        let (mut wal, recovered) = match &config.wal {
+        let (wal, replayed, next_seq) = match &config.wal {
             Some(wal_config) => {
                 let (wal, recovery) = Wal::open(wal_config)?;
-                (Some(wal), Some(recovery))
+                (Some(wal), recovery.entries, recovery.last_seq + 1)
             }
-            None => (None, None),
+            None => (None, Vec::new(), 1),
         };
-        let (applied, next_seq) = match recovered {
-            Some(recovery) => {
-                let next = recovery.last_seq + 1;
-                (recovery.entries, next)
-            }
-            None => (Vec::new(), 1),
-        };
-        let records: Vec<MergeRecord> = applied.iter().map(|e| e.record.clone()).collect();
+        let records: Vec<MergeRecord> = replayed.into_iter().map(|e| e.record).collect();
         let merged = base.merge_records(&records)?;
         let out = config.driver()?.run(&merged)?;
         let snapshot = PlatformSnapshot::new(
@@ -244,12 +233,6 @@ impl IngestEngine {
             out.crowd,
             config.min_support,
         );
-        if let Some(wal) = wal.as_mut() {
-            // Fold replayed segments (including a truncated torn tail)
-            // into a fresh checkpoint.
-            let last_seq = applied.last().map_or(0, |e| e.seq);
-            wal.checkpoint(last_seq, &applied)?;
-        }
         let metrics = config.metrics.clone().map(IngestMetrics::new);
         let history = CrowdHistory::new(
             snapshot.crowd_arc(),
@@ -265,7 +248,6 @@ impl IngestEngine {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 wal,
-                applied,
                 next_seq,
                 total_accepted: 0,
                 total_applied: 0,
@@ -410,12 +392,13 @@ impl IngestEngine {
     /// keep serving the previous snapshot throughout; the swap is
     /// atomic.
     ///
+    /// The epoch does no WAL I/O: every record it applies is already
+    /// durable in a segment.
+    ///
     /// # Errors
     ///
     /// Merge and pipeline errors; the drained batch is re-queued at the
-    /// front, so no accepted record is lost. A WAL checkpoint failure
-    /// after the swap is reported but leaves the published snapshot in
-    /// place (replay deduplicates the stale segments).
+    /// front, so no accepted record is lost.
     pub fn run_epoch(&self) -> Result<Option<EpochReport>, IngestError> {
         let _epoch = self.epoch_guard.lock();
         let start = Instant::now();
@@ -478,15 +461,6 @@ impl IngestEngine {
             inner.full_rebuilds += 1;
         }
         inner.last_epoch = Some(report);
-        let last_seq = batch.last().expect("non-empty").seq;
-        inner.applied.extend(batch);
-        let applied = std::mem::take(&mut inner.applied);
-        let result = match inner.wal.as_mut() {
-            Some(wal) => wal.checkpoint(last_seq, &applied),
-            None => Ok(()),
-        };
-        inner.applied = applied;
-        result?;
         Ok(Some(report))
     }
 
@@ -543,6 +517,13 @@ impl IngestEngine {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Set by a test to make the next [`build_next_snapshot`] on its
+    /// thread fail, as a merge or pipeline error would.
+    pub(crate) static FAIL_NEXT_BUILD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Builds the epoch-`previous.epoch() + 1` snapshot from `previous`
 /// plus a drained batch, shared by the unsharded and sharded engines.
 ///
@@ -566,6 +547,10 @@ where
         &BTreeSet<UserId>,
     ) -> Result<Vec<UserPatterns>, IngestError>,
 {
+    #[cfg(test)]
+    if FAIL_NEXT_BUILD.with(|fail| fail.replace(false)) {
+        return Err(IngestError::Corrupt("injected build failure".to_owned()));
+    }
     let records: Vec<MergeRecord> = batch.iter().map(|e| e.record.clone()).collect();
     let dirty: BTreeSet<UserId> = records.iter().map(|r| r.user).collect();
     let merged = previous.dataset().merge_records(&records)?;
@@ -759,12 +744,11 @@ mod tests {
         let mut cfg = config();
         cfg.wal = Some(crate::WalConfig::new(&dir));
         cfg.epoch_batch = Some(2);
-        let engine = IngestEngine::open(base(), cfg).unwrap();
+        let engine = IngestEngine::open(base(), cfg.clone()).unwrap();
         let records = shifted_records(engine.snapshot().dataset(), 3600, 2);
         engine.submit(records[..1].to_vec()).unwrap();
-        // Sabotage the post-publish checkpoint: the directory is gone,
-        // but appends still reach the already-open segment file.
-        std::fs::remove_dir_all(&dir).unwrap();
+        // Fail the inline epoch's build, after the batch was accepted.
+        FAIL_NEXT_BUILD.with(|fail| fail.set(true));
         let err = engine.submit(records[1..].to_vec()).unwrap_err();
         match err {
             IngestError::EpochFailed {
@@ -775,11 +759,22 @@ mod tests {
             } => assert_eq!((accepted, first_seq, last_seq), (1, 2, 2)),
             other => panic!("expected EpochFailed, got {other:?}"),
         }
-        // The failure was past the publish: the snapshot moved and the
-        // queue is empty, so re-submitting the batch would double-apply
-        // — exactly what the error's contract warns clients against.
-        assert_eq!(engine.epoch(), 1);
-        assert_eq!(engine.queue_depth(), 0);
+        // The engine still holds the batch: both records are queued
+        // again and the epoch did not advance, so a client re-submit
+        // would double-apply — what the error's contract warns against.
+        assert_eq!(engine.epoch(), 0);
+        assert_eq!(engine.queue_depth(), 2);
+        drop(engine);
+        // A reopen applies each accepted record exactly once.
+        let engine = IngestEngine::open(base(), cfg.clone()).unwrap();
+        let merged = base().merge_records(&records).unwrap();
+        assert_eq!(engine.snapshot().dataset().len(), merged.len());
+        assert_eq!(
+            serde_json::to_string(engine.snapshot().crowd()).unwrap(),
+            serde_json::to_string(&cfg.driver().unwrap().run(&merged).unwrap().crowd).unwrap()
+        );
+        assert_eq!(engine.submit(records).unwrap().first_seq, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

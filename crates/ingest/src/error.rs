@@ -30,9 +30,9 @@ pub enum IngestError {
     Pipeline(PipelineError),
     /// An inline epoch failed *after* the submitted batch was accepted
     /// (durably logged and queued). The batch is still held by the
-    /// engine — queued for the next epoch, or already applied if only
-    /// the post-publish checkpoint failed — so the client must **not**
-    /// re-submit it; doing so would double-apply every record.
+    /// engine — queued again for the next epoch and replayed by a
+    /// restart — so the client must **not** re-submit it; doing so
+    /// would double-apply every record.
     EpochFailed {
         /// Records of the triggering batch that were accepted.
         accepted: usize,

@@ -11,9 +11,10 @@
 //!    growing without limit.
 //! 2. **Write-ahead log** ([`wal`]) — accepted records are framed
 //!    (`len + crc32 + JSON`) into segment files *before* they are
-//!    queued, replayed on startup, and compacted after each snapshot
-//!    (truncate-after-checkpoint). A torn final record is truncated
-//!    away on replay.
+//!    queued and replayed on startup. The segments are the only
+//!    durable copy: epochs and restarts write nothing else, so ingest
+//!    cost tracks the new records, not the history. A torn final
+//!    record is truncated away on replay.
 //! 3. **Epoch snapshots** ([`engine`]) — [`IngestEngine::run_epoch`]
 //!    drains the queue, merges the batch into the dataset, re-runs the
 //!    pipeline *incrementally* (only users whose sequences changed are

@@ -6,7 +6,7 @@
 //! Records route to shards by a **stable** hash of the user id
 //! ([`shard_of`]); the hash is an on-disk compatibility contract — it
 //! must not change across releases, or restart recovery would reroute
-//! entries away from the checkpoints that cover them.
+//! entries away from the shard logs that hold them.
 //!
 //! Determinism is preserved by keeping ordering decisions global while
 //! distributing only the work:
@@ -22,13 +22,15 @@
 //!   `detect_updated` for any shard count and any
 //!   [`Parallelism`](crowdweb_exec::Parallelism) policy.
 //!
-//! Crash recovery opens every `shard-*` directory (plus any legacy
-//! unsharded log in the WAL root), unions the surviving entries by
-//! sequence number, cold-builds epoch 0, and rewrites one checkpoint
-//! per shard whose header is that shard's **watermark** (the highest
-//! sequence applied from it). A torn tail in one shard truncates only
-//! that shard's un-checkpointed suffix; the other shards' records —
-//! including ones with higher sequence numbers — survive replay.
+//! The shard segments are the only durable copy of the records: epochs
+//! write nothing to disk. Crash recovery opens every `shard-*`
+//! directory concurrently (plus any legacy unsharded log in the WAL
+//! root), unions the surviving entries by sequence number, and
+//! cold-builds epoch 0 without rewriting a byte. A torn tail in one
+//! shard truncates only that shard's final frame; the other shards'
+//! records — including ones with higher sequence numbers — survive
+//! replay. Only a fold of stale sources (see [`ShardedIngestEngine::open`])
+//! writes a checkpoint.
 
 use crate::engine::{build_next_snapshot, IngestConfig, IngestMetrics};
 use crate::{
@@ -37,7 +39,7 @@ use crate::{
 };
 use crowdweb_crowd::CrowdModel;
 use crowdweb_dataset::{Dataset, MergeRecord, UserId};
-use crowdweb_exec::{parallel_map_with_index, EpochCell};
+use crowdweb_exec::{parallel_map, parallel_map_with_index, EpochCell};
 use crowdweb_mobility::UserPatterns;
 use crowdweb_obs::{Gauge, Histogram, EPOCH_LATENCY_BUCKETS, SHARD_FANOUT_SECONDS};
 use crowdweb_prep::{Prepared, UserView};
@@ -56,8 +58,8 @@ pub const MAX_SHARDS: usize = 64;
 ///
 /// Stability matters more than quality here: the same user must land on
 /// the same shard across every release and restart, because each
-/// shard's WAL checkpoint only covers the entries routed to it. The
-/// hash is part of the on-disk format; never change it.
+/// shard's WAL only holds the entries routed to it. The hash is part of
+/// the on-disk format; never change it.
 pub fn shard_of(user: UserId, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard count must be positive");
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -128,11 +130,7 @@ impl ShardMetrics {
 struct ShardState {
     queue: VecDeque<WalEntry>,
     wal: Option<Wal>,
-    /// Entries applied to the published snapshot from this shard,
-    /// ascending by seq; rewritten into the shard's checkpoint.
-    applied: Vec<WalEntry>,
-    /// Highest sequence number applied from this shard (0 if none) —
-    /// persisted as the shard checkpoint's header.
+    /// Highest sequence number applied from this shard (0 if none).
     watermark: u64,
     accepted: u64,
     applied_total: u64,
@@ -169,12 +167,17 @@ pub struct ShardedIngestEngine {
 
 impl ShardedIngestEngine {
     /// Opens the engine over a base dataset with
-    /// [`IngestConfig::shards`] shards: replays every shard WAL (and
-    /// any legacy unsharded log in the WAL root), unions the surviving
-    /// entries by sequence number, cold-builds the epoch-0 snapshot,
-    /// and rewrites one checkpoint per shard at its watermark. Shard
-    /// directories beyond the current count (left by a larger previous
-    /// configuration) are folded into the current shards and removed.
+    /// [`IngestConfig::shards`] shards: replays every shard WAL (opened
+    /// concurrently under [`IngestConfig::parallelism`]) and any legacy
+    /// unsharded log in the WAL root, unions the surviving entries by
+    /// sequence number, and cold-builds the epoch-0 snapshot.
+    ///
+    /// Replay rewrites nothing, with one exception: shard directories
+    /// beyond the current count (left by a larger previous
+    /// configuration) and a legacy root log are **folded**. Every entry
+    /// is re-routed under the current count, each current shard writes
+    /// a checkpoint of its entries, and only then are the stale
+    /// sources deleted.
     ///
     /// # Errors
     ///
@@ -190,29 +193,30 @@ impl ShardedIngestEngine {
         let mut stale_dirs: Vec<PathBuf> = Vec::new();
         let mut legacy_files: Vec<PathBuf> = Vec::new();
         if let Some(wal_config) = &config.wal {
-            for k in 0..shard_count {
-                let (wal, recovery) = Wal::open(&shard_wal_config(wal_config, k))?;
+            let shard_configs: Vec<WalConfig> = (0..shard_count)
+                .map(|k| shard_wal_config(wal_config, k))
+                .collect();
+            for opened in parallel_map(config.parallelism, &shard_configs, Wal::open) {
+                let (wal, recovery) = opened?;
                 last_seq = last_seq.max(recovery.last_seq);
                 entries.extend(recovery.entries);
                 wals.push(Some(wal));
             }
-            // Shard directories beyond the current count, and any
-            // unsharded log left in the root by the plain engine, are
-            // recovered and folded into the current shards' checkpoints
-            // below, then deleted.
-            for dir in stale_shard_dirs(&wal_config.dir, shard_count)? {
+            // Any unsharded log left in the root by the plain engine, and
+            // shard directories beyond the current count, are recovered
+            // and folded into the current shards below, then deleted.
+            let (_, recovery) = Wal::open(wal_config)?;
+            last_seq = last_seq.max(recovery.last_seq);
+            entries.extend(recovery.entries);
+            (stale_dirs, legacy_files) = stale_sources(&wal_config.dir, shard_count)?;
+            for dir in &stale_dirs {
                 let (_, recovery) = Wal::open(&WalConfig {
                     dir: dir.clone(),
                     segment_bytes: wal_config.segment_bytes,
                 })?;
                 last_seq = last_seq.max(recovery.last_seq);
                 entries.extend(recovery.entries);
-                stale_dirs.push(dir);
             }
-            let (_, recovery) = Wal::open(wal_config)?;
-            last_seq = last_seq.max(recovery.last_seq);
-            entries.extend(recovery.entries);
-            legacy_files = legacy_log_files(&wal_config.dir)?;
         } else {
             for _ in 0..shard_count {
                 wals.push(None);
@@ -221,7 +225,32 @@ impl ShardedIngestEngine {
         entries.sort_by_key(|e| e.seq);
         entries.dedup_by_key(|e| e.seq);
 
-        let records: Vec<MergeRecord> = entries.iter().map(|e| e.record.clone()).collect();
+        let mut watermarks = vec![0u64; shard_count];
+        for entry in &entries {
+            let k = shard_of(entry.record.user, shard_count);
+            watermarks[k] = watermarks[k].max(entry.seq);
+        }
+        if !stale_dirs.is_empty() || !legacy_files.is_empty() {
+            // The stale sources are about to go, so every entry must
+            // first be durable in its shard under the *current* count.
+            let mut routed: Vec<Vec<WalEntry>> = vec![Vec::new(); shard_count];
+            for entry in &entries {
+                routed[shard_of(entry.record.user, shard_count)].push(entry.clone());
+            }
+            for (k, (wal, routed)) in wals.iter_mut().zip(routed).enumerate() {
+                wal.as_mut()
+                    .expect("stale sources exist only with a WAL")
+                    .checkpoint(watermarks[k], &routed)?;
+            }
+            for dir in stale_dirs {
+                fs::remove_dir_all(&dir)?;
+            }
+            for file in legacy_files {
+                fs::remove_file(&file)?;
+            }
+        }
+
+        let records: Vec<MergeRecord> = entries.into_iter().map(|e| e.record).collect();
         let merged = base.merge_records(&records)?;
         let out = config.driver()?.run(&merged)?;
         let snapshot = PlatformSnapshot::new(
@@ -234,36 +263,17 @@ impl ShardedIngestEngine {
             config.min_support,
         );
 
-        // Route every surviving entry to its shard under the *current*
-        // count and persist one checkpoint per shard, so recovery state
-        // is rebalanced before the stale sources are deleted.
-        let mut shards: Vec<ShardState> = wals
+        let shards: Vec<ShardState> = wals
             .into_iter()
-            .map(|wal| ShardState {
+            .zip(watermarks)
+            .map(|(wal, watermark)| ShardState {
                 queue: VecDeque::new(),
                 wal,
-                applied: Vec::new(),
-                watermark: 0,
+                watermark,
                 accepted: 0,
                 applied_total: 0,
             })
             .collect();
-        for entry in entries {
-            let shard = &mut shards[shard_of(entry.record.user, shard_count)];
-            shard.watermark = shard.watermark.max(entry.seq);
-            shard.applied.push(entry);
-        }
-        for shard in &mut shards {
-            if let Some(wal) = shard.wal.as_mut() {
-                wal.checkpoint(shard.watermark, &shard.applied)?;
-            }
-        }
-        for dir in stale_dirs {
-            fs::remove_dir_all(&dir)?;
-        }
-        for file in legacy_files {
-            fs::remove_file(&file)?;
-        }
 
         let metrics = config
             .metrics
@@ -465,15 +475,13 @@ impl ShardedIngestEngine {
     /// the seq-sorted union (ordering is global), the re-mine fans out
     /// per shard on the `crowdweb-exec` engine, and each shard's delta
     /// is spliced back in prepared user order — byte-identical to the
-    /// unsharded engine. Afterwards each shard checkpoints at its own
-    /// watermark.
+    /// unsharded engine. The epoch does no WAL I/O: every record it
+    /// applies is already durable in its shard's segments.
     ///
     /// # Errors
     ///
     /// Merge and pipeline errors re-queue each shard's slice at the
-    /// front of that shard's queue, so no accepted record is lost. A
-    /// checkpoint failure after the swap is reported but leaves the
-    /// published snapshot in place.
+    /// front of that shard's queue, so no accepted record is lost.
     pub fn run_epoch(&self) -> Result<Option<EpochReport>, IngestError> {
         let _epoch = self.epoch_guard.lock();
         let start = Instant::now();
@@ -564,27 +572,12 @@ impl ShardedIngestEngine {
             inner.full_rebuilds += 1;
         }
         inner.last_epoch = Some(report);
-        // Checkpoint every shard even if one fails, so a single bad
-        // disk doesn't stop the others from compacting; the first
-        // error is reported after all shards were attempted.
-        let mut checkpoint_result: Result<(), IngestError> = Ok(());
-        for (k, drained) in per_shard_batch.into_iter().enumerate() {
-            let shard = &mut inner.shards[k];
+        for (shard, drained) in inner.shards.iter_mut().zip(&per_shard_batch) {
             shard.applied_total += drained.len() as u64;
             if let Some(last) = drained.last() {
                 shard.watermark = shard.watermark.max(last.seq);
             }
-            shard.applied.extend(drained);
-            if let Some(wal) = shard.wal.as_mut() {
-                let applied = std::mem::take(&mut shard.applied);
-                let result = wal.checkpoint(shard.watermark, &applied);
-                shard.applied = applied;
-                if checkpoint_result.is_ok() {
-                    checkpoint_result = result;
-                }
-            }
         }
-        checkpoint_result?;
         Ok(Some(report))
     }
 
@@ -701,50 +694,34 @@ fn shard_wal_config(base: &WalConfig, shard: usize) -> WalConfig {
     }
 }
 
-/// `shard-<k>` subdirectories with `k` at or beyond the current count.
-fn stale_shard_dirs(dir: &Path, shard_count: usize) -> Result<Vec<PathBuf>, IngestError> {
-    let mut stale = Vec::new();
-    if !dir.exists() {
-        return Ok(stale);
-    }
+/// What an open folds into the current shards: `shard-<k>` directories
+/// with `k` at or beyond the current count, and the segment and
+/// checkpoint files an unsharded engine left in the WAL root.
+fn stale_sources(
+    dir: &Path,
+    shard_count: usize,
+) -> Result<(Vec<PathBuf>, Vec<PathBuf>), IngestError> {
+    let (mut dirs, mut files) = (Vec::new(), Vec::new());
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if let Some(index) = name
+        let stale_shard = name
             .strip_prefix("shard-")
             .and_then(|k| k.parse::<usize>().ok())
-        {
-            if path.is_dir() && index >= shard_count {
-                stale.push(path);
-            }
-        }
-    }
-    stale.sort();
-    Ok(stale)
-}
-
-/// Segment and checkpoint files an unsharded engine left in the WAL
-/// root; deleted once their entries are folded into shard checkpoints.
-fn legacy_log_files(dir: &Path) -> Result<Vec<PathBuf>, IngestError> {
-    let mut files = Vec::new();
-    if !dir.exists() {
-        return Ok(files);
-    }
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if path.is_file()
+            .is_some_and(|k| k >= shard_count);
+        if path.is_dir() && stale_shard {
+            dirs.push(path);
+        } else if path.is_file()
             && (name == "checkpoint.jsonl" || (name.starts_with("seg-") && name.ends_with(".wal")))
         {
             files.push(path);
         }
     }
+    dirs.sort();
     files.sort();
-    Ok(files)
+    Ok((dirs, files))
 }
 
 #[cfg(test)]
@@ -937,6 +914,46 @@ mod tests {
         // The global sequence continues after the replayed tail.
         let receipt = engine.submit(records).unwrap();
         assert_eq!(receipt.first_seq, 13);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inline_epoch_failure_reports_accepted_range() {
+        let dir = temp_dir("epochfail");
+        let mut cfg = config(4);
+        cfg.wal = Some(WalConfig::new(&dir));
+        cfg.epoch_batch = Some(8);
+        let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+        let records = shifted_records(engine.snapshot().dataset(), 3600, 8);
+        engine.submit(records[..5].to_vec()).unwrap();
+        // Fail the inline epoch's build, after the batch was accepted.
+        crate::engine::FAIL_NEXT_BUILD.with(|fail| fail.set(true));
+        let err = engine.submit(records[5..].to_vec()).unwrap_err();
+        match err {
+            IngestError::EpochFailed {
+                accepted,
+                first_seq,
+                last_seq,
+                ..
+            } => assert_eq!((accepted, first_seq, last_seq), (3, 6, 8)),
+            other => panic!("expected EpochFailed, got {other:?}"),
+        }
+        // Every shard got its slice back and the epoch did not advance.
+        assert_eq!(engine.epoch(), 0);
+        assert_eq!(engine.queue_depth(), 8);
+        let stats = engine.stats();
+        assert_eq!(stats.total_applied, 0);
+        assert!(stats.shards.iter().all(|s| s.watermark == 0));
+        drop(engine);
+        // A reopen applies each accepted record exactly once.
+        let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+        let merged = base().merge_records(&records).unwrap();
+        assert_eq!(engine.snapshot().dataset().len(), merged.len());
+        assert_eq!(
+            serde_json::to_string(engine.snapshot().crowd()).unwrap(),
+            serde_json::to_string(&cfg.driver().unwrap().run(&merged).unwrap().crowd).unwrap()
+        );
+        assert_eq!(engine.submit(records[..1].to_vec()).unwrap().first_seq, 9);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -55,9 +55,9 @@ pub struct ShardStats {
     pub queue_depth: usize,
     /// This shard's queue capacity (the engine capacity split evenly).
     pub queue_capacity: usize,
-    /// Highest sequence number applied from this shard (0 if none);
-    /// persisted as the shard checkpoint's header and reconciled on
-    /// recovery.
+    /// Highest sequence number applied from this shard (0 if none).
+    /// Kept in memory only: a restart recomputes it from the records
+    /// the shard's log replays.
     pub watermark: u64,
     /// Records routed to this shard since the engine opened.
     pub total_accepted: u64,
@@ -65,7 +65,9 @@ pub struct ShardStats {
     pub total_applied: u64,
     /// Live WAL segment bytes in this shard's directory.
     pub wal_segment_bytes: u64,
-    /// Bytes of this shard's current checkpoint.
+    /// Bytes of this shard's checkpoint, if it has one: a legacy
+    /// checkpoint from an earlier release, or one written when an open
+    /// folded stale logs into this shard. Epochs never write one.
     pub wal_checkpoint_bytes: u64,
 }
 
@@ -95,7 +97,8 @@ pub struct ShardedIngestStats {
     pub durable: bool,
     /// Live WAL segment bytes summed over every shard.
     pub wal_segment_bytes: u64,
-    /// Checkpoint bytes summed over every shard.
+    /// Legacy or folded checkpoint bytes summed over every shard (see
+    /// [`ShardStats::wal_checkpoint_bytes`]).
     pub wal_checkpoint_bytes: u64,
     /// Epochs run since the engine opened.
     pub epochs_run: u64,
@@ -127,9 +130,11 @@ pub struct IngestStats {
     pub total_applied: u64,
     /// Whether a write-ahead log is configured.
     pub durable: bool,
-    /// Live WAL segment bytes (un-checkpointed tail).
+    /// Live WAL segment bytes: every record logged since the log began
+    /// (or since a legacy checkpoint's header).
     pub wal_segment_bytes: u64,
-    /// Bytes of the current WAL checkpoint.
+    /// Bytes of a legacy checkpoint left by an earlier release, if any.
+    /// Epochs never write one.
     pub wal_checkpoint_bytes: u64,
     /// Epochs run since the engine opened.
     pub epochs_run: u64,

@@ -4,28 +4,30 @@
 //! `[u32 len][u32 crc32][JSON payload]` (both integers little-endian)
 //! and appended to the active segment file before the record is
 //! queued, so an accepted batch survives a crash. Segments rotate at a
-//! byte threshold and are named `seg-<first-seq>.wal`.
+//! byte threshold and are named `seg-<first-seq>.wal`. Creating a
+//! segment (or the log directory) also syncs the parent directory, so
+//! the entry naming an acknowledged frame survives a power cut.
 //!
-//! After each epoch the engine writes a **checkpoint**: a JSON-lines
-//! file holding a `{"last_seq":N}` header plus every applied entry,
-//! written to a temp file and atomically renamed. Segments fully
-//! covered by the checkpoint are deleted (the *truncate-after-snapshot*
-//! compaction), so WAL size tracks the un-checkpointed tail, not the
-//! full history.
+//! The segments are the only durable copy of the records: epochs write
+//! nothing and [`Wal::open`] rewrites nothing, so ingest writes track
+//! the new records, never the history. A `checkpoint.jsonl` (a
+//! `{"last_seq":N}` header plus entries) is still read when present:
+//! earlier releases rewrote one after every epoch, and the sharded
+//! engine writes one when it folds stale logs ([`Wal::checkpoint`]).
+//! Segment entries at or below its header are skipped, since the
+//! checkpoint already holds them.
 //!
 //! Replay tolerates a torn tail: decoding stops at the first frame
 //! whose length, CRC, or payload fails to verify; the file is truncated
 //! back to the last good record boundary and any later segments (which
 //! could only exist if the torn one was not really the tail) are
-//! discarded. Entries with `seq` at or below the checkpoint header are
-//! skipped, so replay after a crash between append and checkpoint never
-//! double-applies.
+//! discarded.
 
 use crate::IngestError;
 use crowdweb_dataset::MergeRecord;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// One durable log entry: a record plus its global sequence number.
@@ -45,7 +47,7 @@ struct CheckpointHeader {
 /// Where and how the log is stored.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Directory holding segments and the checkpoint.
+    /// Directory holding the segments (and any checkpoint).
     pub dir: PathBuf,
     /// Rotation threshold: a segment reaching this many bytes is closed
     /// and the next append opens a fresh one.
@@ -71,8 +73,8 @@ impl WalConfig {
 /// Everything recovered from disk by [`Wal::open`].
 #[derive(Debug)]
 pub struct WalRecovery {
-    /// All surviving entries — checkpointed plus un-checkpointed tail —
-    /// in ascending `seq` order.
+    /// All surviving entries — any checkpoint's plus the segments'
+    /// newer ones — in ascending `seq` order.
     pub entries: Vec<WalEntry>,
     /// Highest sequence number seen (0 when the log was empty).
     pub last_seq: u64,
@@ -117,17 +119,52 @@ const FRAME_HEADER: usize = 8;
 const CHECKPOINT_FILE: &str = "checkpoint.jsonl";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
-/// Bitwise CRC-32 (IEEE polynomial), table-free.
+/// CRC-32 (IEEE polynomial, reflected) of every byte value, built at
+/// compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE polynomial), one table lookup per byte.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// Syncs `dir` itself, making the entries created or renamed in it
+/// durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Creates `dir` and any missing ancestors, syncing the parent of each
+/// directory it creates.
+fn create_dir_synced(dir: &Path) -> io::Result<()> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|p| !p.as_os_str().is_empty() && !p.is_dir())
+        .collect();
+    fs::create_dir_all(dir)?;
+    for created in missing {
+        let parent = created.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(parent.unwrap_or(Path::new(".")))?;
+    }
+    Ok(())
 }
 
 impl Wal {
@@ -135,12 +172,15 @@ impl Wal {
     /// surviving entry. A torn final record is truncated away; see the
     /// [module docs](self) for the recovery rules.
     ///
+    /// Nothing is rewritten: the only writes are the truncation of a
+    /// torn segment and the removal of the segments after it.
+    ///
     /// # Errors
     ///
     /// I/O failures, or [`IngestError::Corrupt`] for an unreadable
     /// checkpoint (segment corruption is recovered, not fatal).
     pub fn open(config: &WalConfig) -> Result<(Wal, WalRecovery), IngestError> {
-        fs::create_dir_all(&config.dir)?;
+        create_dir_synced(&config.dir)?;
         // Drop a stale temp checkpoint from a crash mid-rewrite.
         let _ = fs::remove_file(config.dir.join(CHECKPOINT_TMP));
 
@@ -195,10 +235,11 @@ impl Wal {
                 if good_offset == 0 {
                     fs::remove_file(&path)?;
                 } else {
-                    OpenOptions::new()
-                        .write(true)
-                        .open(&path)?
-                        .set_len(good_offset as u64)?;
+                    // The truncated segment stays live, so the cut must
+                    // be durable before later appends depend on it.
+                    let file = OpenOptions::new().write(true).open(&path)?;
+                    file.set_len(good_offset as u64)?;
+                    file.sync_all()?;
                 }
             }
             let mut seg_last = 0u64;
@@ -218,6 +259,11 @@ impl Wal {
             }
         }
 
+        if torn {
+            // Removed segments must stay removed: new appends reuse
+            // their sequence numbers.
+            sync_dir(&config.dir)?;
+        }
         entries.sort_by_key(|e| e.seq);
         entries.dedup_by_key(|e| e.seq);
         let wal = Wal {
@@ -231,8 +277,9 @@ impl Wal {
     }
 
     /// Appends a batch durably (written, flushed, and synced before
-    /// returning). Rotates to a fresh segment when the active one has
-    /// reached the configured threshold.
+    /// returning; a segment this call creates also has its directory
+    /// entry synced). Rotates to a fresh segment when the active one
+    /// has reached the configured threshold.
     ///
     /// # Errors
     ///
@@ -253,6 +300,7 @@ impl Wal {
                     bytes: 0,
                 },
             });
+            sync_dir(&self.dir)?;
         }
         let active = self.active.as_mut().expect("created above");
         let mut buf = Vec::new();
@@ -347,23 +395,26 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes a checkpoint covering every entry with `seq <=
-    /// last_seq` (the `applied` log), then deletes segments the
-    /// checkpoint fully covers. The checkpoint is written to a temp
-    /// file and renamed, so a crash mid-write keeps the previous one.
+    /// Writes a checkpoint holding `entries` under a `last_seq` header,
+    /// then deletes the segments it fully covers. The checkpoint is
+    /// written to a temp file, synced, renamed and its directory
+    /// synced, so a crash keeps either the previous state or the new
+    /// one, and the new one is durable when this returns. Only the
+    /// sharded engine's open-time fold calls this: records from a
+    /// directory about to be deleted must first become durable here.
     ///
     /// # Errors
     ///
     /// I/O failures. A failure after the rename leaves extra segments
-    /// behind; replay deduplicates them by sequence number.
-    pub fn checkpoint(&mut self, last_seq: u64, applied: &[WalEntry]) -> Result<(), IngestError> {
+    /// behind; replay skips them by the checkpoint header.
+    pub fn checkpoint(&mut self, last_seq: u64, entries: &[WalEntry]) -> Result<(), IngestError> {
         let mut text = String::new();
         text.push_str(
             &serde_json::to_string(&CheckpointHeader { last_seq })
                 .expect("header serializes infallibly"),
         );
         text.push('\n');
-        for entry in applied {
+        for entry in entries {
             text.push_str(&serde_json::to_string(entry).expect("WAL entries serialize infallibly"));
             text.push('\n');
         }
@@ -375,6 +426,7 @@ impl Wal {
             f.sync_data()?;
         }
         fs::rename(&tmp, &final_path)?;
+        sync_dir(&self.dir)?;
         self.checkpoint_bytes = text.len() as u64;
 
         let mut kept = Vec::new();
@@ -403,7 +455,8 @@ impl Wal {
             + self.active.as_ref().map_or(0, |a| a.meta.bytes)
     }
 
-    /// Bytes of the current checkpoint file.
+    /// Bytes of the checkpoint file, if one exists: a legacy one read at
+    /// open, or one written by [`Wal::checkpoint`].
     pub fn checkpoint_bytes(&self) -> u64 {
         self.checkpoint_bytes
     }
@@ -481,10 +534,34 @@ mod tests {
         }
     }
 
+    /// The bitwise CRC-32 the table replaced: the reference the table
+    /// must reproduce on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_table_crc32_matches_bitwise(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600)
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@ echo "== ingest determinism gate =="
 cargo test -q -p crowdweb-ingest
 cargo test -q --test ingest_determinism
 
+echo "== benchmark gate =="
+# The benchmark opens ShardedIngestEngine and reads IngestStats directly,
+# so it must build against the current APIs; its quick runs of all four
+# workloads (about 11 s) also pass their correctness gates.
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== observability gate =="
 cargo test -q -p crowdweb-obs -p crowdweb-server
 grep -q '/api/metrics' README.md || {
