@@ -92,7 +92,7 @@
 //! `/api/v1/cities`, and `/api/v1/metrics`) additionally answers at
 //! `GET /api/v1/cities/{city}/...` for any registered city.
 //!
-//! # Streaming bodies
+//! # Response bodies
 //!
 //! Handlers return [`Response`] whose body is either
 //! [`ResponseBody::Full`](crate::http::ResponseBody::Full) (written
@@ -100,10 +100,10 @@
 //! [`ResponseBody::Stream`](crate::http::ResponseBody::Stream) (a
 //! pull-based [`BodyStream`] the reactor drains with `Transfer-
 //! Encoding: chunked`, polling the producer only while the socket can
-//! take more — see `DESIGN.md` §13). The heavyweight renders
-//! (`crowd/map`, `crowd/geojson`, `tiles`) stream their materialized
-//! buffers via [`ChunkedBytes`]; `export/checkins` is incrementally
-//! produced by [`CheckinExportStream`] and never materializes.
+//! take more — see `DESIGN.md` §13). Every body that is resident
+//! anyway — the rendered maps, GeoJSON and tiles included — is `Full`.
+//! Only `export/checkins` streams: [`CheckinExportStream`] produces it
+//! incrementally and it never materializes.
 //!
 //! # Conditional requests
 //!
@@ -114,6 +114,15 @@
 //! comparison per RFC 9110 §13.1.2). A crowd view is immutable once
 //! its epoch is published, so pollers pay a round-trip, not a body,
 //! while the epoch stands still.
+//!
+//! # Render memo
+//!
+//! The same immutability lets the five tagged crowd views render once
+//! per epoch. After the `304` check, their handlers consult the city's
+//! [`RenderMemo`](crate::memo::RenderMemo), keyed by the epoch and the
+//! parsed view parameters: a hit copies the memoized bytes, a miss
+//! renders through [`render_view`] and memoizes the `200` body. A
+//! `?epoch=N` hit also skips rematerializing the crowd model.
 //!
 //! # Cursor pagination
 //!
@@ -142,9 +151,10 @@
 //! epoch — the history ring retains crowd models, not datasets, so
 //! historical record exports are gone once the epoch advances.
 
-use crate::http::{BodyStream, ChunkedBytes, STREAM_CHUNK_BYTES};
+use crate::http::{BodyStream, STREAM_CHUNK_BYTES};
+use crate::memo::View;
 use crate::{AppState, CityState, Request, Response, Router, StatusCode};
-use crowdweb_crowd::{CrowdModel, CrowdSplice};
+use crowdweb_crowd::{CrowdModel, CrowdSnapshot, CrowdSplice};
 use crowdweb_dataset::{MergeRecord, UserId};
 use crowdweb_ingest::{IngestError, PlatformSnapshot};
 use crowdweb_mobility::{PatternMiner, UserPatterns};
@@ -526,15 +536,6 @@ fn ok_json<T: Serialize>(value: &T) -> Response {
     }
 }
 
-/// Serves an already-materialized buffer under chunked framing: the
-/// handler still renders in one shot, but the reactor drains the bytes
-/// [`STREAM_CHUNK_BYTES`] at a time under the per-connection stream
-/// budget instead of holding one `Content-Length` buffer per in-flight
-/// response.
-fn stream_bytes(content_type: &str, bytes: Vec<u8>) -> Response {
-    Response::stream(content_type, Box::new(ChunkedBytes::new(bytes)))
-}
-
 /// Builds an error envelope with a handler-specific machine-readable
 /// code. The single funnel for every ad-hoc error a handler emits — the
 /// body shape is owned by [`Response::error_with_code`].
@@ -844,28 +845,63 @@ struct CrowdDto {
     cells: Vec<CrowdCellDto>,
 }
 
-/// Resolves the crowd model a temporal endpoint should serve: the live
-/// snapshot's model by default, or — when the request carries
-/// `?epoch=N` — the model exactly as published at epoch `N`,
-/// rematerialized from the engine's delta-compressed history. A
-/// non-integer epoch is a 400 `"bad-epoch"` envelope; an epoch outside
-/// the retained ring is a 404 `"unknown-epoch"` envelope naming the
-/// scrubbable range.
-fn crowd_view(state: &CityState, request: &Request) -> Result<Arc<CrowdModel>, Response> {
-    crowd_view_epoch(state, request).map(|(model, _)| model)
+#[derive(Serialize)]
+struct FlowDto {
+    from: u64,
+    to: u64,
+    count: usize,
 }
 
-/// [`crowd_view`] plus the epoch the resolved model was published at —
-/// the cache-validation identity of the view.
-fn crowd_view_epoch(
-    state: &CityState,
-    request: &Request,
-) -> Result<(Arc<CrowdModel>, u64), Response> {
+/// The epoch a temporal crowd endpoint serves: the live snapshot, or a
+/// retained `?epoch=N` whose crowd model is materialized only when
+/// something has to be rendered from it.
+enum ViewEpoch {
+    Live(Arc<PlatformSnapshot>),
+    Retained(u64),
+}
+
+impl ViewEpoch {
+    fn epoch(&self) -> u64 {
+        match self {
+            ViewEpoch::Live(snap) => snap.epoch(),
+            ViewEpoch::Retained(epoch) => *epoch,
+        }
+    }
+
+    /// The crowd model published at this epoch. A retained epoch is
+    /// rematerialized from the engine's delta-compressed history; one
+    /// evicted since [`view_epoch`] checked it is the usual 404.
+    fn model(&self, state: &CityState) -> Result<Arc<CrowdModel>, Response> {
+        match self {
+            ViewEpoch::Live(snap) => Ok(snap.crowd_arc()),
+            ViewEpoch::Retained(epoch) => state
+                .engine()
+                .crowd_at(*epoch)
+                .ok_or_else(|| unknown_epoch(state, *epoch)),
+        }
+    }
+}
+
+/// The 404 `"unknown-epoch"` envelope naming the scrubbable range.
+fn unknown_epoch(state: &CityState, epoch: u64) -> Response {
+    let (oldest, newest) = state.engine().history().retained();
+    error_envelope(
+        StatusCode::NotFound,
+        "unknown-epoch",
+        &format!("epoch {epoch} is not retained (history holds {oldest}..={newest})"),
+    )
+}
+
+/// Resolves the epoch a temporal endpoint should serve: the live
+/// snapshot by default (one `snapshot()` call, so the model and the
+/// epoch can't straddle a concurrent publish), or — when the request
+/// carries `?epoch=N` — epoch `N` as published, provided the history
+/// ring still retains it. A non-integer epoch is a 400 `"bad-epoch"`
+/// envelope; an epoch outside the retained ring is a 404
+/// `"unknown-epoch"` envelope. Nothing is materialized yet.
+fn view_epoch(state: &CityState, request: &Request) -> Result<ViewEpoch, Response> {
     let Some(raw) = request.query_param("epoch") else {
-        // One snapshot() call so the model and the epoch can't straddle
-        // a concurrent publish.
-        let snap = state.snapshot();
-        return Ok((snap.crowd_arc(), snap.epoch()));
+        return Ok(ViewEpoch::Live(state.snapshot()));
     };
     let Ok(epoch) = raw.parse::<u64>() else {
         return Err(error_envelope(
@@ -874,15 +910,18 @@ fn crowd_view_epoch(
             "epoch must be a non-negative integer",
         ));
     };
-    let model = state.engine().crowd_at(epoch).ok_or_else(|| {
-        let (oldest, newest) = state.engine().history().retained();
-        error_envelope(
-            StatusCode::NotFound,
-            "unknown-epoch",
-            &format!("epoch {epoch} is not retained (history holds {oldest}..={newest})"),
-        )
-    })?;
-    Ok((model, epoch))
+    let (oldest, newest) = state.engine().history().retained();
+    if (oldest..=newest).contains(&epoch) {
+        Ok(ViewEpoch::Retained(epoch))
+    } else {
+        Err(unknown_epoch(state, epoch))
+    }
+}
+
+/// The crowd model an untagged temporal endpoint renders from (see
+/// [`view_epoch`]).
+fn crowd_view(state: &CityState, request: &Request) -> Result<Arc<CrowdModel>, Response> {
+    view_epoch(state, request)?.model(state)
 }
 
 /// True when the request's `If-None-Match` header revalidates `etag`:
@@ -899,36 +938,128 @@ fn if_none_match(request: &Request, etag: &str) -> bool {
     })
 }
 
-/// [`crowd_view_epoch`] with conditional-request handling: resolves the
-/// model, derives the strong `ETag` (`"{city}-e{epoch}"` — a crowd view
-/// is immutable once its epoch is published), and short-circuits to
-/// `304 Not Modified` when the request's `If-None-Match` revalidates
-/// it. On `Ok` the handler attaches the returned tag via
-/// [`Response::with_etag`].
-fn crowd_view_tagged(
+/// [`view_epoch`] with conditional-request handling: derives the strong
+/// `ETag` (`"{city}-e{epoch}"` — a crowd view is immutable once its
+/// epoch is published) and short-circuits to `304 Not Modified` when
+/// the request's `If-None-Match` revalidates it.
+fn tagged_view_epoch(
     state: &CityState,
     request: &Request,
-) -> Result<(Arc<CrowdModel>, String), Response> {
-    let (model, epoch) = crowd_view_epoch(state, request)?;
-    let etag = format!("\"{}-e{}\"", state.id(), epoch);
+) -> Result<(ViewEpoch, String), Response> {
+    let at = view_epoch(state, request)?;
+    let etag = format!("\"{}-e{}\"", state.id(), at.epoch());
     if if_none_match(request, &etag) {
         return Err(Response::not_modified(&etag));
     }
-    Ok((model, etag))
+    Ok((at, etag))
 }
 
-fn snapshot_for(
-    crowd: &CrowdModel,
-    request: &Request,
-) -> Result<crowdweb_crowd::CrowdSnapshot, Response> {
-    let hour = parse_hour(request)?;
-    crowd.snapshot_at_hour(hour).ok_or_else(|| {
-        error_envelope(
-            StatusCode::NotFound,
-            "no-window",
-            "no window covers that hour",
-        )
-    })
+/// Serves a tagged crowd view through the city's render memo. A hit
+/// copies the memoized body; a miss materializes the model, renders it
+/// with [`render_view`] and memoizes the `200` body. Error envelopes
+/// pass through and are never stored.
+fn serve_view(state: &CityState, at: &ViewEpoch, etag: &str, view: View) -> Response {
+    let epoch = at.epoch();
+    let body = match state.memo().get(epoch, view) {
+        Some(body) => body.to_vec(),
+        None => match at.model(state).and_then(|model| render_view(&model, view)) {
+            Ok(body) => {
+                let (oldest, _) = state.engine().history().retained();
+                state.memo().insert(epoch, view, &body, oldest);
+                body
+            }
+            Err(resp) => return resp,
+        },
+    };
+    let content_type = match view {
+        View::Crowd { .. } | View::Flows { .. } => "application/json; charset=utf-8",
+        View::Geojson { .. } => "application/json",
+        View::Map { .. } | View::Tile { .. } => "image/svg+xml",
+    };
+    Response::full(content_type, body).with_etag(etag)
+}
+
+fn json_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, Response> {
+    serde_json::to_string(value)
+        .map(String::into_bytes)
+        .map_err(|e| Response::error(StatusCode::InternalServerError, &e.to_string()))
+}
+
+fn no_window() -> Response {
+    error_envelope(
+        StatusCode::NotFound,
+        "no-window",
+        "no window covers that hour",
+    )
+}
+
+fn snapshot_at(crowd: &CrowdModel, hour: u8) -> Result<CrowdSnapshot, Response> {
+    crowd.snapshot_at_hour(hour).ok_or_else(no_window)
+}
+
+/// Renders the `200` body of one tagged crowd view from `model`: the
+/// only producer of those bytes, memo or not. An hour no window covers
+/// is a 404 `"no-window"` envelope.
+fn render_view(model: &CrowdModel, view: View) -> Result<Vec<u8>, Response> {
+    match view {
+        View::Crowd { hour } => {
+            let snap = snapshot_at(model, hour)?;
+            json_bytes(&CrowdDto {
+                window: snap.window.label(),
+                total_users: snap.total_users(),
+                cells: snap
+                    .busiest_cells()
+                    .into_iter()
+                    .map(|(cell, users)| CrowdCellDto {
+                        cell: cell.0,
+                        users,
+                    })
+                    .collect(),
+            })
+        }
+        View::Map { hour, label } => {
+            let snap = match label {
+                None => snapshot_at(model, hour)?,
+                Some(label) => {
+                    let idx = model.windows().index_of_hour(hour).ok_or_else(no_window)?;
+                    model
+                        .snapshot_by_label(idx, crowdweb_prep::PlaceLabel(label))
+                        .map_err(|e| {
+                            Response::error(StatusCode::InternalServerError, &e.to_string())
+                        })?
+                }
+            };
+            Ok(CityMap::new(model.grid()).render(&snap).into_bytes())
+        }
+        View::Geojson { hour } => {
+            let snap = snapshot_at(model, hour)?;
+            json_bytes(&snapshot_to_geojson(&snap, model.grid()))
+        }
+        View::Flows { from, to } => {
+            let windows = model.windows();
+            let (Some(fi), Some(ti)) = (windows.index_of_hour(from), windows.index_of_hour(to))
+            else {
+                return Err(no_window());
+            };
+            let flows = model
+                .flows(fi, ti)
+                .map_err(|e| Response::error(StatusCode::InternalServerError, &e.to_string()))?;
+            json_bytes(
+                &flows
+                    .into_iter()
+                    .map(|f| FlowDto {
+                        from: f.from.0,
+                        to: f.to.0,
+                        count: f.count,
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        }
+        View::Tile { tile, hour } => {
+            let snap = snapshot_at(model, hour)?;
+            Ok(render_tile(model, tile, &snap).into_bytes())
+        }
+    }
 }
 
 fn crowd(
@@ -937,26 +1068,12 @@ fn crowd(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let (model, etag) = match crowd_view_tagged(state, request) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
+    let serve = || -> Result<Response, Response> {
+        let (at, etag) = tagged_view_epoch(state, request)?;
+        let hour = parse_hour(request)?;
+        Ok(serve_view(state, &at, &etag, View::Crowd { hour }))
     };
-    match snapshot_for(&model, request) {
-        Ok(snap) => ok_json(&CrowdDto {
-            window: snap.window.label(),
-            total_users: snap.total_users(),
-            cells: snap
-                .busiest_cells()
-                .into_iter()
-                .map(|(cell, users)| CrowdCellDto {
-                    cell: cell.0,
-                    users,
-                })
-                .collect(),
-        })
-        .with_etag(&etag),
-        Err(resp) => resp,
-    }
+    serve().unwrap_or_else(|resp| resp)
 }
 
 fn crowd_map(
@@ -967,48 +1084,22 @@ fn crowd_map(
 ) -> Response {
     // Optional ?label=N restricts the view to one place label ("only
     // the shoppers").
-    let (model, etag) = match crowd_view_tagged(state, request) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let snap = match request.query_param("label") {
-        None => match snapshot_for(&model, request) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        },
-        Some(raw) => {
-            let Ok(label) = raw.parse::<u32>() else {
-                return error_envelope(
+    let serve = || -> Result<Response, Response> {
+        let (at, etag) = tagged_view_epoch(state, request)?;
+        let label = match request.query_param("label") {
+            None => None,
+            Some(raw) => Some(raw.parse::<u32>().map_err(|_| {
+                error_envelope(
                     StatusCode::BadRequest,
                     "bad-label",
                     "label must be an integer",
-                );
-            };
-            let hour = match parse_hour(request) {
-                Ok(h) => h,
-                Err(resp) => return resp,
-            };
-            let Some(idx) = model.windows().index_of_hour(hour) else {
-                return error_envelope(
-                    StatusCode::NotFound,
-                    "no-window",
-                    "no window covers that hour",
-                );
-            };
-            match model.snapshot_by_label(idx, crowdweb_prep::PlaceLabel(label)) {
-                Ok(s) => s,
-                Err(e) => return Response::error(StatusCode::InternalServerError, &e.to_string()),
-            }
-        }
+                )
+            })?),
+        };
+        let hour = parse_hour(request)?;
+        Ok(serve_view(state, &at, &etag, View::Map { hour, label }))
     };
-    // A rendered city map can be megabytes of SVG on a dense grid —
-    // serve it chunked so the reactor never re-buffers the whole body
-    // past the stream budget.
-    stream_bytes(
-        "image/svg+xml",
-        CityMap::new(model.grid()).render(&snap).into_bytes(),
-    )
-    .with_etag(&etag)
+    serve().unwrap_or_else(|resp| resp)
 }
 
 fn crowd_geojson(
@@ -1017,26 +1108,23 @@ fn crowd_geojson(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let (model, etag) = match crowd_view_tagged(state, request) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
+    let serve = || -> Result<Response, Response> {
+        let (at, etag) = tagged_view_epoch(state, request)?;
+        let hour = parse_hour(request)?;
+        Ok(serve_view(state, &at, &etag, View::Geojson { hour }))
     };
-    match snapshot_for(&model, request) {
-        Ok(snap) => match serde_json::to_string(&snapshot_to_geojson(&snap, model.grid())) {
-            // The largest JSON body we serve: one feature per occupied
-            // cell. Stream it instead of Content-Length framing.
-            Ok(body) => stream_bytes("application/json", body.into_bytes()).with_etag(&etag),
-            Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
-        },
-        Err(resp) => resp,
-    }
+    serve().unwrap_or_else(|resp| resp)
 }
 
-#[derive(Serialize)]
-struct FlowDto {
-    from: u64,
-    to: u64,
-    count: usize,
+/// Parses an optional hour-of-day query parameter (`default` when
+/// absent); anything but `0..=23` is a 400 `"bad-hour"` envelope.
+fn parse_hour_param(request: &Request, name: &str, default: u8) -> Result<u8, Response> {
+    match request.query_param(name) {
+        None => Ok(default),
+        Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
+            error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
+        }),
+    }
 }
 
 fn crowd_flows(
@@ -1045,44 +1133,13 @@ fn crowd_flows(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let parse = |name: &str, default: u8| -> Result<u8, Response> {
-        match request.query_param(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
-            }),
-        }
+    let serve = || -> Result<Response, Response> {
+        let from = parse_hour_param(request, "from", 9)?;
+        let to = parse_hour_param(request, "to", 10)?;
+        let (at, etag) = tagged_view_epoch(state, request)?;
+        Ok(serve_view(state, &at, &etag, View::Flows { from, to }))
     };
-    let (from, to) = match (parse("from", 9), parse("to", 10)) {
-        (Ok(f), Ok(t)) => (f, t),
-        (Err(r), _) | (_, Err(r)) => return r,
-    };
-    let (model, etag) = match crowd_view_tagged(state, request) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let windows = model.windows();
-    let (Some(fi), Some(ti)) = (windows.index_of_hour(from), windows.index_of_hour(to)) else {
-        return error_envelope(
-            StatusCode::NotFound,
-            "no-window",
-            "no window covers that hour",
-        );
-    };
-    match model.flows(fi, ti) {
-        Ok(flows) => ok_json(
-            &flows
-                .into_iter()
-                .map(|f| FlowDto {
-                    from: f.from.0,
-                    to: f.to.0,
-                    count: f.count,
-                })
-                .collect::<Vec<_>>(),
-        )
-        .with_etag(&etag),
-        Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
-    }
+    serve().unwrap_or_else(|resp| resp)
 }
 
 /// `GET /api/v1/epochs`: which epochs are currently scrubbable via
@@ -1140,14 +1197,10 @@ fn crowd_diff(
         (Err(r), _) | (_, Err(r)) => return r,
     };
     let materialize = |epoch: u64| -> Result<Arc<CrowdModel>, Response> {
-        state.engine().crowd_at(epoch).ok_or_else(|| {
-            let (oldest, newest) = state.engine().history().retained();
-            error_envelope(
-                StatusCode::NotFound,
-                "unknown-epoch",
-                &format!("epoch {epoch} is not retained (history holds {oldest}..={newest})"),
-            )
-        })
+        state
+            .engine()
+            .crowd_at(epoch)
+            .ok_or_else(|| unknown_epoch(state, epoch))
     };
     let (model_a, model_b) = match (materialize(a), materialize(b)) {
         (Ok(ma), Ok(mb)) => (ma, mb),
@@ -1652,15 +1705,10 @@ fn crowd_flows_map(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let parse = |name: &str, default: u8| -> Result<u8, Response> {
-        match request.query_param(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
-            }),
-        }
-    };
-    let (from, to) = match (parse("from", 9), parse("to", 10)) {
+    let (from, to) = match (
+        parse_hour_param(request, "from", 9),
+        parse_hour_param(request, "to", 10),
+    ) {
         (Ok(f), Ok(t)) => (f, t),
         (Err(r), _) | (_, Err(r)) => return r,
     };
@@ -1817,15 +1865,10 @@ fn crowd_compare(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let parse = |name: &str, default: u8| -> Result<u8, Response> {
-        match request.query_param(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
-            }),
-        }
-    };
-    let (a, b) = match (parse("a", 9), parse("b", 19)) {
+    let (a, b) = match (
+        parse_hour_param(request, "a", 9),
+        parse_hour_param(request, "b", 19),
+    ) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(r), _) | (_, Err(r)) => return r,
     };
@@ -1930,7 +1973,7 @@ fn trajectory(
     })
 }
 
-/// Renders one slippy-map tile of the crowd heat layer: the portion of
+/// Serves one slippy-map tile of the crowd heat layer: the portion of
 /// the microcell grid intersecting Web-Mercator tile `z/x/y`, shaded by
 /// the crowd of `?hour=H` (default 9). Standard `z/x/y` addressing means
 /// any web map library can use the platform as a tile source.
@@ -1940,30 +1983,24 @@ fn tile(
     request: &Request,
     params: &HashMap<String, String>,
 ) -> Response {
+    let serve = || -> Result<Response, Response> {
+        let bad_tile = |message: &str| error_envelope(StatusCode::BadRequest, "bad-tile", message);
+        let parse = |name: &str| -> Option<u32> { params.get(name).and_then(|s| s.parse().ok()) };
+        let (Some(z), Some(x), Some(y)) = (parse("z"), parse("x"), parse("y")) else {
+            return Err(bad_tile("tile coordinates must be integers"));
+        };
+        let z = u8::try_from(z).map_err(|_| bad_tile("zoom out of range"))?;
+        let tile = crowdweb_geo::TileCoord::new(z, x, y).map_err(|e| bad_tile(&e.to_string()))?;
+        let (at, etag) = tagged_view_epoch(state, request)?;
+        let hour = parse_hour(request)?;
+        Ok(serve_view(state, &at, &etag, View::Tile { tile, hour }))
+    };
+    serve().unwrap_or_else(|resp| resp)
+}
+
+/// Renders tile `tile` of `snap`'s crowd as a 256×256 SVG.
+fn render_tile(model: &CrowdModel, tile: crowdweb_geo::TileCoord, snap: &CrowdSnapshot) -> String {
     use crowdweb_viz::sequential_color;
-    let parse = |name: &str| -> Option<u32> { params.get(name).and_then(|s| s.parse().ok()) };
-    let (Some(z), Some(x), Some(y)) = (parse("z"), parse("x"), parse("y")) else {
-        return error_envelope(
-            StatusCode::BadRequest,
-            "bad-tile",
-            "tile coordinates must be integers",
-        );
-    };
-    let Ok(z8) = u8::try_from(z) else {
-        return error_envelope(StatusCode::BadRequest, "bad-tile", "zoom out of range");
-    };
-    let tile = match crowdweb_geo::TileCoord::new(z8, x, y) {
-        Ok(t) => t,
-        Err(e) => return error_envelope(StatusCode::BadRequest, "bad-tile", &e.to_string()),
-    };
-    let (model, etag) = match crowd_view_tagged(state, request) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let snap = match snapshot_for(&model, request) {
-        Ok(s) => s,
-        Err(resp) => return resp,
-    };
     let tile_bounds = tile.bounds();
     let grid = model.grid();
     let max = snap.cells.values().max().copied().unwrap_or(0).max(1);
@@ -1988,7 +2025,7 @@ fn tile(
         let color = sequential_color(count as f64 / max as f64).to_hex();
         doc.rect(x0, y0, (x1 - x0).abs(), (y1 - y0).abs(), &color, None);
     }
-    stream_bytes("image/svg+xml", doc.finish().into_bytes()).with_etag(&etag)
+    doc.finish()
 }
 
 /// One `export/checkins` NDJSON line: a check-in joined with its
@@ -2188,6 +2225,11 @@ mod tests {
         assert!(text.contains("crowdweb_ingest_history_resident_bytes{kind=\"full\"}"));
         assert!(text.contains("crowdweb_ingest_history_resident_bytes{kind=\"delta\"} 0"));
         assert!(text.contains("crowdweb_ingest_history_reconstruction_seconds"));
+        // The render memo registers its per-view counters and its
+        // resident-bytes gauge before the first read.
+        assert!(text.contains("crowdweb_render_memo_hits_total{view=\"crowd/map\"} 0"));
+        assert!(text.contains("crowdweb_render_memo_misses_total{view=\"tiles\"} 0"));
+        assert!(text.contains("crowdweb_render_memo_resident_bytes 0"));
         // Deterministic ordering: a second scrape with unchanged state
         // is byte-identical.
         let second = r.route(&s, &req);
@@ -3192,5 +3234,310 @@ mod tests {
             let v: serde_json::Value = serde_json::from_str(&body).unwrap();
             assert_eq!(v["error"]["code"], "bad-cursor", "{bad}: {body}");
         }
+    }
+
+    /// One request per tagged view, with the view it memoizes under.
+    fn memo_cases() -> Vec<(&'static str, View)> {
+        let tile = crowdweb_geo::TileCoord::new(11, 602, 770).unwrap();
+        vec![
+            ("crowd?hour=9", View::Crowd { hour: 9 }),
+            (
+                "crowd/map?hour=9",
+                View::Map {
+                    hour: 9,
+                    label: None,
+                },
+            ),
+            (
+                "crowd/map?hour=12&label=2",
+                View::Map {
+                    hour: 12,
+                    label: Some(2),
+                },
+            ),
+            ("crowd/geojson?hour=9", View::Geojson { hour: 9 }),
+            ("crowd/flows?from=9&to=10", View::Flows { from: 9, to: 10 }),
+            ("tiles/11/602/770?hour=9", View::Tile { tile, hour: 9 }),
+        ]
+    }
+
+    fn memo_count(s: &AppState, name: &str, view: View) -> u64 {
+        s.metrics()
+            .counter_value(name, &[("view", crate::memo::VIEW_NAMES[view.index()])])
+            .unwrap()
+    }
+
+    fn state_with(parallelism: crowdweb_exec::Parallelism, history_depth: usize) -> AppState {
+        let mut config = crowdweb_ingest::IngestConfig {
+            parallelism,
+            history_depth,
+            ..crowdweb_ingest::IngestConfig::default()
+        };
+        config.preprocessor = config.preprocessor.min_active_days(20);
+        AppState::with_config(SynthConfig::small(53).generate().unwrap(), config).unwrap()
+    }
+
+    /// A memo hit returns exactly what the view's render function makes
+    /// of the model, live and at a retained `?epoch=N`, under both
+    /// parallelism policies — and both policies serve identical bytes.
+    #[test]
+    fn memo_hits_match_direct_renders_across_parallelism() {
+        use crowdweb_exec::Parallelism;
+        let mut served: Vec<Vec<(String, String)>> = Vec::new();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let s = state_with(parallelism, 16);
+            let r = build_router();
+            for step in 0..3 {
+                advance_epoch(&r, &s, step);
+            }
+            let live = s.snapshot().epoch();
+            assert_eq!(live, 3);
+            let mut bodies = Vec::new();
+            for (epoch, model) in [
+                (None, s.snapshot().crowd_arc()),
+                (Some(1), s.engine().crowd_at(1).unwrap()),
+            ] {
+                for (suffix, view) in memo_cases() {
+                    let path = match epoch {
+                        None => format!("/api/v1/{suffix}"),
+                        Some(n) => format!("/api/v1/{suffix}&epoch={n}"),
+                    };
+                    let hits = memo_count(&s, "crowdweb_render_memo_hits_total", view);
+                    let (code, cold) = get(&r, &s, &path);
+                    assert_eq!(code, 200, "{path}: {cold}");
+                    let (code, warm) = get(&r, &s, &path);
+                    assert_eq!(code, 200, "{path}: {warm}");
+                    assert_eq!(
+                        memo_count(&s, "crowdweb_render_memo_hits_total", view),
+                        hits + 1,
+                        "{path}: the second read must be a memo hit"
+                    );
+                    let direct = render_view(&model, view).unwrap();
+                    assert_eq!(warm.as_bytes(), direct, "{path}: hit != direct render");
+                    assert_eq!(cold, warm, "{path}");
+                    bodies.push((path, warm));
+                }
+            }
+            assert!(s.default_city().memo().resident_bytes() > 0);
+            served.push(bodies);
+        }
+        assert_eq!(served[0], served[1], "Sequential and Threads(4) differ");
+    }
+
+    /// Re-submits every check-in of the first user with mined patterns
+    /// under a fresh user id and runs an epoch: the twin mines the same
+    /// patterns, so the crowd gains a placement wherever the original
+    /// has one.
+    fn add_twin_of_a_patterned_user(router: &Router<AppState>, s: &AppState) {
+        let snap = s.snapshot();
+        let original = snap
+            .patterns()
+            .iter()
+            .find(|p| p.pattern_count() > 0)
+            .expect("the synthetic city has routine users")
+            .user;
+        let dataset = snap.dataset();
+        let rows: Vec<String> = dataset
+            .checkins_of(original)
+            .iter()
+            .map(|c| {
+                let v = dataset.venue(c.venue()).unwrap();
+                format!(
+                    "{{\"user\":{},\"venue\":{},\"category\":{},\"lat\":{},\"lon\":{},\
+                     \"tz_offset_minutes\":{},\"time\":\"{}\"}}",
+                    900_000 + original.raw(),
+                    serde_json::to_string(v.name()).unwrap(),
+                    serde_json::to_string(dataset.taxonomy().name_of(v.category()).unwrap())
+                        .unwrap(),
+                    v.location().lat(),
+                    v.location().lon(),
+                    c.tz_offset_minutes(),
+                    crowdweb_dataset::tsv::format_time(c.time()),
+                )
+            })
+            .collect();
+        drop(snap);
+        let (code, body) = post(
+            router,
+            s,
+            "/api/v1/checkins",
+            &format!("[{}]", rows.join(",")),
+        );
+        assert_eq!(code, 200, "{body}");
+        let (code, body) = post(router, s, "/api/v1/ingest/epoch", "");
+        assert_eq!(code, 200, "{body}");
+    }
+
+    /// Publishing an epoch moves the live read to new bytes under a new
+    /// `ETag`, while `?epoch=<old>` keeps answering the old bytes.
+    #[test]
+    fn memo_follows_the_live_epoch_and_keeps_retained_bodies() {
+        let s = state();
+        let r = build_router();
+        let city = s.default_city_id().to_owned();
+        let read = |path: &str| {
+            let resp = get_with(&r, &s, path, "");
+            let etag = resp.etag.clone().unwrap();
+            (etag, String::from_utf8(resp.into_body_bytes()).unwrap())
+        };
+        // Memoize every hour's crowd at epoch 0.
+        let before: Vec<(String, String)> = (0..24)
+            .map(|hour| read(&format!("/api/v1/crowd?hour={hour}")))
+            .collect();
+        let old_model = s.snapshot().crowd_arc();
+        add_twin_of_a_patterned_user(&r, &s);
+        let new_model = s.snapshot().crowd_arc();
+        let hour = (0..24u8)
+            .find(|&hour| {
+                let view = View::Crowd { hour };
+                render_view(&old_model, view).unwrap() != render_view(&new_model, view).unwrap()
+            })
+            .expect("the twin moves some hour's crowd");
+        let view = View::Crowd { hour };
+        let (etag0, body0) = &before[usize::from(hour)];
+        assert_eq!(etag0, &format!("\"{city}-e0\""));
+        let (etag1, body1) = read(&format!("/api/v1/crowd?hour={hour}"));
+        assert_eq!(etag1, format!("\"{city}-e1\""));
+        assert_ne!(&body1, body0, "the live read must render the new epoch");
+        assert_eq!(body1.as_bytes(), render_view(&new_model, view).unwrap());
+        let (etag_old, body_old) = read(&format!("/api/v1/crowd?hour={hour}&epoch=0"));
+        assert_eq!(&etag_old, etag0);
+        assert_eq!(&body_old, body0, "a retained epoch keeps its old bytes");
+        assert_eq!(
+            memo_count(&s, "crowdweb_render_memo_hits_total", view),
+            1,
+            "only the epoch-0 read hits"
+        );
+    }
+
+    /// Retention stays with the history ring: once an epoch is evicted
+    /// it answers 404 even though its bodies were memoized.
+    #[test]
+    fn evicted_epochs_answer_404_despite_memoized_bodies() {
+        let s = state_with(crowdweb_exec::Parallelism::Sequential, 2);
+        let r = build_router();
+        let (code, _) = get(&r, &s, "/api/v1/crowd?hour=9&epoch=0");
+        assert_eq!(code, 200);
+        let (code, _) = get(&r, &s, "/api/v1/crowd?hour=9&epoch=0");
+        assert_eq!(code, 200);
+        for step in 0..3 {
+            advance_epoch(&r, &s, step);
+        }
+        assert_eq!(s.engine().history().retained(), (2, 3));
+        for suffix in [
+            "crowd?hour=9",
+            "crowd/map?hour=9",
+            "tiles/11/602/770?hour=9",
+        ] {
+            let (code, body) = get(&r, &s, &format!("/api/v1/{suffix}&epoch=0"));
+            assert_eq!(code, 404, "{suffix}: {body}");
+            assert!(body.contains("unknown-epoch"), "{body}");
+        }
+        // The first read at a newer epoch dropped the evicted bodies.
+        let (code, _) = get(&r, &s, "/api/v1/crowd?hour=9");
+        assert_eq!(code, 200);
+        let memo = s.default_city().memo();
+        assert!(memo.get(0, View::Crowd { hour: 9 }).is_none());
+    }
+
+    /// 400 and 404 envelopes — and 304s — leave the memo untouched.
+    #[test]
+    fn error_and_not_modified_responses_are_never_memoized() {
+        let s = state();
+        let r = build_router();
+        for (path, status) in [
+            ("/api/v1/crowd?hour=99", 400),
+            ("/api/v1/crowd?epoch=zzz", 400),
+            ("/api/v1/crowd?epoch=999", 404),
+            ("/api/v1/crowd/map?hour=12&label=zzz", 400),
+            ("/api/v1/crowd/geojson?hour=24", 400),
+            ("/api/v1/crowd/flows?from=77", 400),
+            ("/api/v1/crowd/flows?epoch=999", 404),
+            ("/api/v1/tiles/2/9/0", 400),
+            ("/api/v1/tiles/11/602/770?hour=x", 400),
+        ] {
+            let (code, body) = get(&r, &s, path);
+            assert_eq!(code, status, "{path}: {body}");
+        }
+        let memo = s.default_city().memo();
+        assert_eq!(memo.resident_bytes(), 0, "no error body may be stored");
+        // A 304 is answered before the memo is consulted.
+        let etag = format!("\"{}-e0\"", s.default_city_id());
+        for (suffix, view) in memo_cases() {
+            let path = format!("/api/v1/{suffix}");
+            let resp = get_with(&r, &s, &path, &format!("If-None-Match: {etag}\r\n"));
+            assert_eq!(resp.status.code(), 304, "{path}");
+            assert_eq!(resp.etag.as_deref(), Some(etag.as_str()));
+            assert!(resp.into_body_bytes().is_empty());
+            assert_eq!(memo_count(&s, "crowdweb_render_memo_misses_total", view), 0);
+        }
+        assert_eq!(memo.resident_bytes(), 0);
+        // Memoized or not, revalidation answers the same 304.
+        get(&r, &s, "/api/v1/crowd?hour=9");
+        let resp = get_with(
+            &r,
+            &s,
+            "/api/v1/crowd?hour=9",
+            &format!("If-None-Match: {etag}\r\n"),
+        );
+        assert_eq!(resp.status.code(), 304);
+    }
+
+    /// Equivalent spellings of one view share a memo entry: the key is
+    /// the parsed parameters, not the raw query.
+    #[test]
+    fn memo_keys_on_parsed_parameters() {
+        let s = state();
+        let r = build_router();
+        let view = View::Crowd { hour: 9 };
+        let (_, first) = get(&r, &s, "/api/v1/crowd?hour=9");
+        for path in [
+            "/api/v1/crowd",
+            "/api/v1/crowd?hour=09",
+            "/api/v1/crowd?hour=9&utm=x",
+            "/api/crowd?hour=9",
+        ] {
+            let (code, body) = get(&r, &s, path);
+            assert_eq!(code, 200);
+            assert_eq!(body, first, "{path}");
+        }
+        assert_eq!(memo_count(&s, "crowdweb_render_memo_misses_total", view), 1);
+        assert_eq!(memo_count(&s, "crowdweb_render_memo_hits_total", view), 4);
+    }
+
+    /// A flood of distinct tile keys fills the memo up to its cap and no
+    /// further, and every tile is still served, freshly rendered.
+    #[test]
+    fn tile_flood_never_passes_the_memo_cap() {
+        use crate::memo::MEMO_CAP_BYTES;
+        let s = state();
+        let r = build_router();
+        let gauge = || {
+            s.metrics()
+                .gauge_value("crowdweb_render_memo_resident_bytes", &[])
+                .unwrap()
+        };
+        // Fill the memo to within a few tiles of its cap.
+        let filler = vec![b' '; MEMO_CAP_BYTES - 4096];
+        s.default_city()
+            .memo()
+            .insert(0, View::Crowd { hour: 23 }, &filler, 0);
+        let model = s.snapshot().crowd_arc();
+        let mut stored = 0;
+        for x in 600..640 {
+            for hour in [8, 9] {
+                let tile = crowdweb_geo::TileCoord::new(11, x, 770).unwrap();
+                let path = format!("/api/v1/tiles/11/{x}/770?hour={hour}");
+                let (code, body) = get(&r, &s, &path);
+                assert_eq!(code, 200, "{path}");
+                let view = View::Tile { tile, hour };
+                assert_eq!(body.as_bytes(), render_view(&model, view).unwrap());
+                assert!(gauge() <= MEMO_CAP_BYTES as i64, "gauge {}", gauge());
+                stored += usize::from(s.default_city().memo().get(0, view).is_some());
+            }
+        }
+        assert!(stored > 0, "tiles fit until the cap");
+        assert!(stored < 80, "the cap must turn later tiles away");
+        assert_eq!(gauge(), s.default_city().memo().resident_bytes() as i64);
     }
 }

@@ -543,34 +543,6 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
 /// stays modest.
 pub const STREAM_CHUNK_BYTES: usize = 64 * 1024;
 
-/// A [`BodyStream`] over an already materialized buffer, yielding
-/// [`STREAM_CHUNK_BYTES`]-sized windows. This ports buffer-producing
-/// handlers (SVG maps, GeoJSON) onto chunked framing without rewriting
-/// their renderers as incremental producers.
-pub struct ChunkedBytes {
-    bytes: Vec<u8>,
-    at: usize,
-}
-
-impl ChunkedBytes {
-    /// Wraps `bytes` for chunk-by-chunk serving.
-    pub fn new(bytes: Vec<u8>) -> ChunkedBytes {
-        ChunkedBytes { bytes, at: 0 }
-    }
-}
-
-impl BodyStream for ChunkedBytes {
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.at >= self.bytes.len() {
-            return Ok(None);
-        }
-        let end = (self.at + STREAM_CHUNK_BYTES).min(self.bytes.len());
-        let chunk = self.bytes[self.at..end].to_vec();
-        self.at = end;
-        Ok(Some(chunk))
-    }
-}
-
 /// An HTTP response under construction.
 #[derive(Debug)]
 pub struct Response {
@@ -594,46 +566,37 @@ pub struct Response {
 impl Response {
     /// A 200 response with a JSON body.
     pub fn json(body: String) -> Response {
-        Response {
-            status: StatusCode::Ok,
-            content_type: "application/json; charset=utf-8".to_owned(),
-            retry_after: None,
-            etag: None,
-            body: ResponseBody::Full(body.into_bytes()),
-        }
+        Response::full("application/json; charset=utf-8", body.into_bytes())
     }
 
     /// A 200 response with an HTML body.
     pub fn html(body: String) -> Response {
-        Response {
-            status: StatusCode::Ok,
-            content_type: "text/html; charset=utf-8".to_owned(),
-            retry_after: None,
-            etag: None,
-            body: ResponseBody::Full(body.into_bytes()),
-        }
+        Response::full("text/html; charset=utf-8", body.into_bytes())
     }
 
     /// A 200 response with a plain-text body (Prometheus text
     /// exposition format version 0.0.4).
     pub fn text(body: String) -> Response {
-        Response {
-            status: StatusCode::Ok,
-            content_type: "text/plain; version=0.0.4; charset=utf-8".to_owned(),
-            retry_after: None,
-            etag: None,
-            body: ResponseBody::Full(body.into_bytes()),
-        }
+        Response::full(
+            "text/plain; version=0.0.4; charset=utf-8",
+            body.into_bytes(),
+        )
     }
 
     /// A 200 response with an SVG body.
     pub fn svg(body: String) -> Response {
+        Response::full("image/svg+xml", body.into_bytes())
+    }
+
+    /// A 200 response with a materialized body of the given content
+    /// type.
+    pub fn full(content_type: &str, body: Vec<u8>) -> Response {
         Response {
             status: StatusCode::Ok,
-            content_type: "image/svg+xml".to_owned(),
+            content_type: content_type.to_owned(),
             retry_after: None,
             etag: None,
-            body: ResponseBody::Full(body.into_bytes()),
+            body: ResponseBody::Full(body),
         }
     }
 
@@ -835,6 +798,32 @@ mod tests {
 
     fn parse(raw: &str) -> io::Result<Request> {
         Request::read_from(raw.as_bytes())
+    }
+
+    /// A [`BodyStream`] over a materialized buffer, yielding
+    /// [`STREAM_CHUNK_BYTES`]-sized windows: the fixture the chunked
+    /// framing tests stream through.
+    struct ChunkedBytes {
+        bytes: Vec<u8>,
+        at: usize,
+    }
+
+    impl ChunkedBytes {
+        fn new(bytes: Vec<u8>) -> ChunkedBytes {
+            ChunkedBytes { bytes, at: 0 }
+        }
+    }
+
+    impl BodyStream for ChunkedBytes {
+        fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
+            if self.at >= self.bytes.len() {
+                return Ok(None);
+            }
+            let end = (self.at + STREAM_CHUNK_BYTES).min(self.bytes.len());
+            let chunk = self.bytes[self.at..end].to_vec();
+            self.at = end;
+            Ok(Some(chunk))
+        }
     }
 
     #[test]

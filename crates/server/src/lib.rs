@@ -13,6 +13,7 @@
 //!   model) plus a capped ring of visitor uploads (the demo's "share
 //!   your check-in history" feature).
 //! - [`api`] — the JSON/SVG endpoint handlers.
+//! - [`memo`] — the per-city, epoch-keyed memo of rendered crowd views.
 //! - [`frontend`] — the embedded HTML/JS page.
 //! - [`reactor`] — the evented connection loop: one event thread
 //!   blocked in `poll(2)` over nonblocking sockets (HTTP/1.1
@@ -47,6 +48,7 @@
 pub mod api;
 pub mod frontend;
 pub mod http;
+pub mod memo;
 pub mod reactor;
 pub mod router;
 pub mod server;

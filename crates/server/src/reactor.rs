@@ -54,14 +54,14 @@ use crate::http::{
     ResponseBody, LAST_CHUNK, MAX_HEAD_BYTES, MAX_LINE_BYTES,
 };
 use crate::sys::{self, Interest, PollSet, Readiness, Waker};
-use crate::{AppState, Request, Response, Router, StatusCode};
+use crate::{AppState, Method, Request, Response, Router, StatusCode};
 use crowdweb_exec::{PoolSaturated, WorkerPool};
 use crowdweb_obs::{Counter, Gauge, Histogram, MetricsRegistry, HTTP_LATENCY_BUCKETS};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tunables for the evented connection loop. Constructed by `Server`'s
@@ -820,20 +820,18 @@ fn execute(
             // A panicking handler must not take the worker down or leak
             // the connection: catch, drop the connection, keep serving.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                router.dispatch(state, &request)
+                router.dispatch_metered(state, &request)
             }));
             match result {
                 Ok((response, route)) => {
-                    let route = route.unwrap_or("unmatched").to_owned();
-                    record_access(
+                    route.record(
                         registry,
-                        &request.method.to_string(),
-                        &route,
+                        Some(request.method),
                         &response,
                         request.body.len(),
                         started,
                     );
-                    Some((response, keep, route))
+                    Some((response, keep, route.label().to_owned()))
                 }
                 Err(_) => {
                     eprintln!("crowdweb: connection handler panicked; worker recovered");
@@ -858,7 +856,7 @@ fn execute(
                 e.to_string()
             };
             let response = Response::error(StatusCode::BadRequest, &message);
-            record_access(registry, "invalid", "unparsed", &response, 0, started);
+            RouteMetrics::new("unparsed").record(registry, None, &response, 0, started);
             Some((response, false, "unparsed".to_owned()))
         }
         Err(_) => None,
@@ -1025,47 +1023,133 @@ fn drain_input(stream: &mut TcpStream) {
     }
 }
 
-/// Records one access into the route-keyed request metrics. Routes are
-/// labelled by registration pattern (bounded cardinality), never by raw
-/// request path.
-pub(crate) fn record_access(
-    metrics: &MetricsRegistry,
-    method: &str,
-    route: &str,
-    response: &Response,
-    request_body_bytes: usize,
-    started: Instant,
-) {
-    let status = response.status.code().to_string();
-    metrics
-        .counter(
-            "crowdweb_http_requests_total",
-            "HTTP requests served, by method, route pattern, and status.",
-            &[("method", method), ("route", route), ("status", &status)],
-        )
-        .inc();
-    metrics
-        .histogram(
-            "crowdweb_http_request_seconds",
-            "Wall-clock seconds from first read to response ready, by route pattern.",
-            &[("route", route)],
-            &HTTP_LATENCY_BUCKETS,
-        )
-        .observe(started.elapsed().as_secs_f64());
-    metrics
-        .counter(
-            "crowdweb_http_request_body_bytes_total",
-            "Request body bytes received, by route pattern.",
-            &[("route", route)],
-        )
-        .add(request_body_bytes as u64);
-    metrics
-        .counter(
-            "crowdweb_http_response_body_bytes_total",
-            "Response body bytes produced, by route pattern.",
-            &[("route", route)],
-        )
-        .add(response.body.len_hint() as u64);
+/// `method` label slots: `GET`, `POST`, and `invalid` for requests that
+/// never parsed.
+const METHOD_SLOTS: usize = 3;
+
+/// One slot per [`StatusCode`] variant.
+const STATUS_SLOTS: usize = 8;
+
+fn status_slot(status: StatusCode) -> usize {
+    match status {
+        StatusCode::Ok => 0,
+        StatusCode::NotModified => 1,
+        StatusCode::BadRequest => 2,
+        StatusCode::NotFound => 3,
+        StatusCode::MethodNotAllowed => 4,
+        StatusCode::PayloadTooLarge => 5,
+        StatusCode::InternalServerError => 6,
+        StatusCode::ServiceUnavailable => 7,
+    }
+}
+
+/// One route's access metrics, labelled by its registration pattern
+/// (bounded cardinality), never by raw request path. The router holds
+/// one per route; a request records through handles, so the hot path
+/// builds no label string and takes no registry lock.
+///
+/// The latency histogram and both byte counters are resolved once, on
+/// the route's first request; each `crowdweb_http_requests_total`
+/// series once per (method, status), on its first use. Resolving on
+/// first use, not at registration, keeps the exposition listing only
+/// the series that traffic has touched.
+pub(crate) struct RouteMetrics {
+    label: String,
+    resolved: OnceLock<ResolvedRoute>,
+}
+
+struct ResolvedRoute {
+    /// The registry the handles belong to: a router served against a
+    /// different registry resolves afresh instead of recording here.
+    registry: MetricsRegistry,
+    latency: Histogram,
+    request_bytes: Counter,
+    response_bytes: Counter,
+    requests: [[OnceLock<Counter>; STATUS_SLOTS]; METHOD_SLOTS],
+}
+
+impl ResolvedRoute {
+    fn new(registry: &MetricsRegistry, route: &str) -> ResolvedRoute {
+        ResolvedRoute {
+            registry: registry.clone(),
+            latency: registry.histogram(
+                "crowdweb_http_request_seconds",
+                "Wall-clock seconds from first read to response ready, by route pattern.",
+                &[("route", route)],
+                &HTTP_LATENCY_BUCKETS,
+            ),
+            request_bytes: registry.counter(
+                "crowdweb_http_request_body_bytes_total",
+                "Request body bytes received, by route pattern.",
+                &[("route", route)],
+            ),
+            response_bytes: registry.counter(
+                "crowdweb_http_response_body_bytes_total",
+                "Response body bytes produced, by route pattern.",
+                &[("route", route)],
+            ),
+            requests: Default::default(),
+        }
+    }
+}
+
+impl RouteMetrics {
+    /// Unresolved metrics for the route labelled `label`.
+    pub(crate) fn new(label: &str) -> RouteMetrics {
+        RouteMetrics {
+            label: label.to_owned(),
+            resolved: OnceLock::new(),
+        }
+    }
+
+    /// The route's metrics label.
+    pub(crate) fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// Records one access: the request counter by method and status,
+    /// the latency since `started`, and the body byte counts. `method`
+    /// is `None` for a request that never parsed.
+    pub(crate) fn record(
+        &self,
+        registry: &MetricsRegistry,
+        method: Option<Method>,
+        response: &Response,
+        request_body_bytes: usize,
+        started: Instant,
+    ) {
+        let cached = self
+            .resolved
+            .get_or_init(|| ResolvedRoute::new(registry, &self.label));
+        let fresh;
+        let handles = if cached.registry == *registry {
+            cached
+        } else {
+            fresh = ResolvedRoute::new(registry, &self.label);
+            &fresh
+        };
+        let (slot, method) = match method {
+            Some(Method::Get) => (0, "GET"),
+            Some(Method::Post) => (1, "POST"),
+            None => (2, "invalid"),
+        };
+        handles.requests[slot][status_slot(response.status)]
+            .get_or_init(|| {
+                registry.counter(
+                    "crowdweb_http_requests_total",
+                    "HTTP requests served, by method, route pattern, and status.",
+                    &[
+                        ("method", method),
+                        ("route", &self.label),
+                        ("status", &response.status.code().to_string()),
+                    ],
+                )
+            })
+            .inc();
+        handles.latency.observe(started.elapsed().as_secs_f64());
+        handles.request_bytes.add(request_body_bytes as u64);
+        handles.response_bytes.add(response.body.len_hint() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -1175,6 +1259,119 @@ mod tests {
                 ]
             ),
             Some(2)
+        );
+    }
+
+    /// The access-metric lines of an exposition, minus the latency
+    /// buckets and sums that depend on timing.
+    fn access_lines(registry: &MetricsRegistry) -> Vec<String> {
+        registry
+            .render()
+            .lines()
+            .filter(|l| l.contains("crowdweb_http_"))
+            .filter(|l| {
+                !l.starts_with("crowdweb_http_request_seconds_bucket")
+                    && !l.starts_with("crowdweb_http_request_seconds_sum")
+            })
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// What recording an access looked like before per-route handles:
+    /// four registry lookups per request.
+    fn record_by_lookup(
+        metrics: &MetricsRegistry,
+        method: &str,
+        route: &str,
+        response: &Response,
+        request_body_bytes: usize,
+    ) {
+        let status = response.status.code().to_string();
+        metrics
+            .counter(
+                "crowdweb_http_requests_total",
+                "HTTP requests served, by method, route pattern, and status.",
+                &[("method", method), ("route", route), ("status", &status)],
+            )
+            .inc();
+        metrics
+            .histogram(
+                "crowdweb_http_request_seconds",
+                "Wall-clock seconds from first read to response ready, by route pattern.",
+                &[("route", route)],
+                &HTTP_LATENCY_BUCKETS,
+            )
+            .observe(0.0);
+        metrics
+            .counter(
+                "crowdweb_http_request_body_bytes_total",
+                "Request body bytes received, by route pattern.",
+                &[("route", route)],
+            )
+            .add(request_body_bytes as u64);
+        metrics
+            .counter(
+                "crowdweb_http_response_body_bytes_total",
+                "Response body bytes produced, by route pattern.",
+                &[("route", route)],
+            )
+            .add(response.body.len_hint() as u64);
+    }
+
+    /// Pre-resolved route handles record exactly the series and values
+    /// per-request registry lookups did, and a router served against a
+    /// second registry records there, not into the first.
+    #[test]
+    fn route_handles_expose_what_registry_lookups_did() {
+        let traffic: &[&[u8]] = &[
+            b"GET /api/v1/stats HTTP/1.1\r\n\r\n",
+            b"GET /api/stats HTTP/1.1\r\n\r\n",
+            b"GET /api/v1/crowd/map?hour=9 HTTP/1.1\r\n\r\n",
+            b"GET /api/v1/crowd?hour=99 HTTP/1.1\r\n\r\n",
+            b"GET /nope HTTP/1.1\r\n\r\n",
+            b"POST /api/v1/users HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            b"POST /api/v1/checkins HTTP/1.1\r\nContent-Length: 3\r\n\r\nbad",
+            b"BREW /coffee HTCPCP/1.0\r\n\r\n",
+            b"GET /api/v1/stats HTTP/1.1\r\n\r\n",
+        ];
+        let router = Arc::new(api::build_router());
+        let mut served = Vec::new();
+        for _ in 0..2 {
+            let (state, _, registry) = app();
+            for raw in traffic {
+                execute(raw, true, &state, &router, &registry, Instant::now()).unwrap();
+            }
+            served.push(access_lines(&registry));
+        }
+        let (state, _, reference) = app();
+        for raw in traffic {
+            match Request::read_from(*raw) {
+                Ok(request) => {
+                    let (response, route) = router.dispatch(&state, &request);
+                    record_by_lookup(
+                        &reference,
+                        &request.method.to_string(),
+                        route.unwrap_or("unmatched"),
+                        &response,
+                        request.body.len(),
+                    );
+                }
+                Err(e) => {
+                    let response = Response::error(StatusCode::BadRequest, &e.to_string());
+                    record_by_lookup(&reference, "invalid", "unparsed", &response, 0);
+                }
+            }
+        }
+        assert_eq!(
+            served[0], served[1],
+            "a second registry sees its own traffic"
+        );
+        assert_eq!(served[0], access_lines(&reference));
+        assert!(
+            served[0]
+                .iter()
+                .all(|l| !l.contains("route=\"/api/v1/users\"")),
+            "an untouched route must not appear"
         );
     }
 

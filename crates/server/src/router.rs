@@ -1,5 +1,6 @@
 //! Path routing with `:param` / `{param}` captures.
 
+use crate::reactor::RouteMetrics;
 use crate::{Method, Request, Response, StatusCode};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,16 +34,18 @@ pub type Handler<S> = Arc<dyn Fn(&S, &Request, &HashMap<String, String>) -> Resp
 /// ```
 pub struct Router<S> {
     routes: Vec<Route<S>>,
+    /// Access metrics of requests no route matched (404/405).
+    unmatched: Arc<RouteMetrics>,
 }
 
 struct Route<S> {
     method: Method,
-    /// The route label for metrics: the canonical registration pattern
-    /// (e.g. `/api/v1/patterns/:user`), bounded in cardinality where
-    /// raw request paths are not. For an alias registration this is the
-    /// *canonical* pattern, not the alias — both spellings fold into
-    /// one metric series.
-    label: String,
+    /// The route's access metrics, labelled by the canonical
+    /// registration pattern (e.g. `/api/v1/patterns/:user`), bounded in
+    /// cardinality where raw request paths are not. An alias
+    /// registration shares its canonical route's metrics — both
+    /// spellings fold into one series.
+    metrics: Arc<RouteMetrics>,
     segments: Vec<Segment>,
     handler: Handler<S>,
 }
@@ -62,7 +65,10 @@ impl<S> Default for Router<S> {
 impl<S> Router<S> {
     /// Creates an empty router.
     pub fn new() -> Router<S> {
-        Router { routes: Vec::new() }
+        Router {
+            routes: Vec::new(),
+            unmatched: Arc::new(RouteMetrics::new("unmatched")),
+        }
     }
 
     /// Registers a GET route.
@@ -70,7 +76,12 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        self.add(Method::Get, pattern, pattern, Arc::new(handler));
+        self.add(
+            Method::Get,
+            pattern,
+            route_metrics(pattern),
+            Arc::new(handler),
+        );
         self
     }
 
@@ -79,7 +90,12 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        self.add(Method::Post, pattern, pattern, Arc::new(handler));
+        self.add(
+            Method::Post,
+            pattern,
+            route_metrics(pattern),
+            Arc::new(handler),
+        );
         self
     }
 
@@ -92,8 +108,14 @@ impl<S> Router<S> {
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
         let handler: Handler<S> = Arc::new(handler);
-        self.add(Method::Get, pattern, pattern, Arc::clone(&handler));
-        self.add(Method::Get, alias, pattern, handler);
+        let metrics = route_metrics(pattern);
+        self.add(
+            Method::Get,
+            pattern,
+            Arc::clone(&metrics),
+            Arc::clone(&handler),
+        );
+        self.add(Method::Get, alias, metrics, handler);
         self
     }
 
@@ -105,12 +127,24 @@ impl<S> Router<S> {
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
         let handler: Handler<S> = Arc::new(handler);
-        self.add(Method::Post, pattern, pattern, Arc::clone(&handler));
-        self.add(Method::Post, alias, pattern, handler);
+        let metrics = route_metrics(pattern);
+        self.add(
+            Method::Post,
+            pattern,
+            Arc::clone(&metrics),
+            Arc::clone(&handler),
+        );
+        self.add(Method::Post, alias, metrics, handler);
         self
     }
 
-    fn add(&mut self, method: Method, pattern: &str, label: &str, handler: Handler<S>) {
+    fn add(
+        &mut self,
+        method: Method,
+        pattern: &str,
+        metrics: Arc<RouteMetrics>,
+        handler: Handler<S>,
+    ) {
         let segments = pattern
             .split('/')
             .filter(|s| !s.is_empty())
@@ -130,7 +164,7 @@ impl<S> Router<S> {
             .collect();
         self.routes.push(Route {
             method,
-            label: label.to_owned(),
+            metrics,
             segments,
             handler,
         });
@@ -157,16 +191,31 @@ impl<S> Router<S> {
     /// metrics key per-route series by. A legacy alias reports the
     /// canonical pattern it aliases, not its own spelling.
     pub fn dispatch(&self, state: &S, request: &Request) -> (Response, Option<&str>) {
+        let (response, route) = self.dispatch_matched(state, request);
+        (response, route.map(|route| route.metrics.label()))
+    }
+
+    /// [`Self::dispatch`], also returning the access metrics to record
+    /// the request into: the matched route's, or the shared `unmatched`
+    /// route's on 404/405.
+    pub(crate) fn dispatch_metered(
+        &self,
+        state: &S,
+        request: &Request,
+    ) -> (Response, &RouteMetrics) {
+        let (response, route) = self.dispatch_matched(state, request);
+        let metrics = route.map_or(&self.unmatched, |route| &route.metrics);
+        (response, metrics)
+    }
+
+    fn dispatch_matched(&self, state: &S, request: &Request) -> (Response, Option<&Route<S>>) {
         let parts: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         let mut path_matched = false;
         for route in &self.routes {
             if let Some(params) = match_segments(&route.segments, &parts) {
                 path_matched = true;
                 if route.method == request.method {
-                    return (
-                        (route.handler)(state, request, &params),
-                        Some(route.label.as_str()),
-                    );
+                    return ((route.handler)(state, request, &params), Some(route));
                 }
             }
         }
@@ -177,6 +226,10 @@ impl<S> Router<S> {
         };
         (response, None)
     }
+}
+
+fn route_metrics(label: &str) -> Arc<RouteMetrics> {
+    Arc::new(RouteMetrics::new(label))
 }
 
 fn match_segments(pattern: &[Segment], parts: &[&str]) -> Option<HashMap<String, String>> {

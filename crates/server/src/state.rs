@@ -17,11 +17,16 @@
 //! and upload ring — nothing is shared between cities except the
 //! process-wide metrics registry.
 //!
+//! Each city also holds a [`RenderMemo`]: the tagged crowd views render
+//! once per epoch and later reads copy the memoized bytes (see
+//! [`crate::memo`]).
+//!
 //! Handlers execute on the reactor's bounded worker pool (see
 //! [`crate::reactor`]), so the state is shared behind an `Arc` and
 //! everything reachable from it must stay `Sync`; a blocking handler
 //! occupies one worker, never the event thread.
 
+use crate::memo::RenderMemo;
 use crowdweb_dataset::{Dataset, UserId};
 use crowdweb_ingest::{IngestConfig, PlatformSnapshot, ShardedIngestEngine};
 use crowdweb_mobility::{PatternMiner, UserPatterns};
@@ -73,7 +78,8 @@ struct UploadRing {
 }
 
 /// One city's platform: a live [`ShardedIngestEngine`] publishing
-/// epoch snapshots, plus a capped ring of recent visitor uploads.
+/// epoch snapshots, the memo of its rendered crowd views, and a capped
+/// ring of recent visitor uploads.
 ///
 /// The ingest queue and WAL are partitioned across user-id-range
 /// shards (`IngestConfig::shards`; 0 = one per available core), so
@@ -82,6 +88,7 @@ struct UploadRing {
 pub struct CityState {
     id: String,
     engine: ShardedIngestEngine,
+    memo: RenderMemo,
     uploads: RwLock<UploadRing>,
 }
 
@@ -100,10 +107,12 @@ impl std::fmt::Debug for CityState {
 
 impl CityState {
     fn open(id: &str, dataset: Dataset, config: IngestConfig) -> Result<CityState, Box<dyn Error>> {
+        let memo = RenderMemo::new(&config.metrics.clone().unwrap_or_default());
         let engine = ShardedIngestEngine::open(dataset, config)?;
         Ok(CityState {
             id: id.to_owned(),
             engine,
+            memo,
             uploads: RwLock::new(UploadRing::default()),
         })
     }
@@ -122,6 +131,11 @@ impl CityState {
     /// The city's live sharded ingest engine (submit, epochs, stats).
     pub fn engine(&self) -> &ShardedIngestEngine {
         &self.engine
+    }
+
+    /// The city's memo of rendered crowd view bodies.
+    pub fn memo(&self) -> &RenderMemo {
+        &self.memo
     }
 
     /// The city's mining support threshold.

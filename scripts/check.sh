@@ -102,6 +102,21 @@ for metric in crowdweb_ingest_history_retained_epochs \
     }
 done
 
+echo "== render memo gate =="
+# A memo hit must be byte-identical to the view's direct render, live
+# and time-travelled, under both parallelism policies.
+cargo test -q -p crowdweb-server memo_hits_match_direct_renders_across_parallelism
+# The memo metrics must stay pinned by the exposition test.
+for metric in crowdweb_render_memo_hits_total \
+    crowdweb_render_memo_misses_total \
+    crowdweb_render_memo_resident_bytes; do
+    awk '/fn metrics_endpoint_serves_valid_stable_prometheus_text/,/^    }$/' \
+        crates/server/src/api.rs | grep -qF "$metric" || {
+        echo "the /api/metrics exposition test must assert $metric" >&2
+        exit 1
+    }
+done
+
 echo "== API v1 doc-drift gate =="
 # Every route registered in build_router must appear verbatim in the
 # README endpoint table (parameter spellings like :user included).

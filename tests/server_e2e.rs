@@ -42,9 +42,9 @@ fn request(raw: String) -> (u16, String) {
     (code, body)
 }
 
-/// Decodes an HTTP/1.1 chunked body (the streamed endpoints — crowd
-/// map, geojson, tiles, export — frame with `Transfer-Encoding:
-/// chunked` instead of `Content-Length`).
+/// Decodes an HTTP/1.1 chunked body (the streamed check-in export
+/// frames with `Transfer-Encoding: chunked` instead of
+/// `Content-Length`).
 fn decode_chunked(mut rest: &str) -> String {
     let mut out = String::new();
     while let Some((size_line, tail)) = rest.split_once("\r\n") {

@@ -79,8 +79,9 @@ fn request(addr: SocketAddr, raw: String) -> (u16, String) {
     (code, body)
 }
 
-/// Decodes an HTTP/1.1 chunked body (streamed endpoints frame with
-/// `Transfer-Encoding: chunked` instead of `Content-Length`).
+/// Decodes an HTTP/1.1 chunked body (a streamed endpoint, such as the
+/// check-in export, frames with `Transfer-Encoding: chunked` instead of
+/// `Content-Length`).
 fn decode_chunked(mut rest: &str) -> String {
     let mut out = String::new();
     while let Some((size_line, tail)) = rest.split_once("\r\n") {
