@@ -124,6 +124,12 @@
 //! renders through [`render_view`] and memoizes the `200` body. A
 //! `?epoch=N` hit also skips rematerializing the crowd model.
 //!
+//! Each view's parsing is one resolver with two consumers. The handler
+//! (`serve_view`) runs on a worker and renders on a miss. The route's
+//! probe (`probe_view`) runs on the reactor's event thread and answers
+//! only a `304` or a memo hit, declining everything else to the
+//! handler, so a render-free read never waits for a worker.
+//!
 //! # Cursor pagination
 //!
 //! `/users` and `/uploads` accept `?after=<id>` as an alternative to
@@ -267,6 +273,46 @@ fn city_post(
     );
 }
 
+/// Registers a tagged crowd view at the three spellings of
+/// [`city_get`]. Both consumers of the view's `resolve` are attached:
+/// the handler serves through the memo and renders on a miss
+/// ([`serve_view`]); the probe answers on the event loop only what
+/// needs no render ([`probe_view`]), and counts the city request only
+/// when it answers, so each request is counted once by whichever path
+/// answers it.
+fn city_view(
+    router: &mut Router<AppState>,
+    city_pattern: &'static str,
+    v1_pattern: &'static str,
+    legacy_alias: &'static str,
+    resolve: ViewResolver,
+) {
+    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
+    let probe =
+        move |app: &AppState, city: &CityState, req: &Request, params: &HashMap<String, String>| {
+            let response = probe_view(city, resolve(city, req, params))?;
+            app.note_city_request(city.id());
+            Some(response)
+        };
+    router.get_probed(
+        &[city_pattern],
+        move |app: &AppState, req, params| match resolve_city(app, params) {
+            Ok(city) => serve_view(city, resolve(city, req, params)),
+            Err(resp) => resp,
+        },
+        move |app: &AppState, req, params| probe(app, app.city(params.get("city")?)?, req, params),
+    );
+    router.get_probed(
+        &[v1_pattern, legacy_alias],
+        move |app: &AppState, req, params| {
+            let city = app.default_city();
+            app.note_city_request(city.id());
+            serve_view(city, resolve(city, req, params))
+        },
+        move |app: &AppState, req, params| probe(app, app.default_city(), req, params),
+    );
+}
+
 /// Builds the full CrowdWeb route table: every endpoint at its
 /// canonical `/api/v1/...` pattern (default city), its
 /// `/api/v1/cities/{city}/...` tenant spelling, and its legacy
@@ -306,28 +352,28 @@ pub fn build_router() -> Router<AppState> {
         "/api/network/:user",
         network,
     );
-    city_get(
+    city_view(
         &mut router,
         "/api/v1/cities/{city}/crowd",
         "/api/v1/crowd",
         "/api/crowd",
         crowd,
     );
-    city_get(
+    city_view(
         &mut router,
         "/api/v1/cities/{city}/crowd/map",
         "/api/v1/crowd/map",
         "/api/crowd/map",
         crowd_map,
     );
-    city_get(
+    city_view(
         &mut router,
         "/api/v1/cities/{city}/crowd/geojson",
         "/api/v1/crowd/geojson",
         "/api/crowd/geojson",
         crowd_geojson,
     );
-    city_get(
+    city_view(
         &mut router,
         "/api/v1/cities/{city}/crowd/flows",
         "/api/v1/crowd/flows",
@@ -477,7 +523,7 @@ pub fn build_router() -> Router<AppState> {
         "/api/trajectory/:user",
         trajectory,
     );
-    city_get(
+    city_view(
         &mut router,
         "/api/v1/cities/{city}/tiles/:z/:x/:y",
         "/api/v1/tiles/:z/:x/:y",
@@ -954,11 +1000,28 @@ fn tagged_view_epoch(
     Ok((at, etag))
 }
 
-/// Serves a tagged crowd view through the city's render memo. A hit
-/// copies the memoized body; a miss materializes the model, renders it
-/// with [`render_view`] and memoizes the `200` body. Error envelopes
-/// pass through and are never stored.
-fn serve_view(state: &CityState, at: &ViewEpoch, etag: &str, view: View) -> Response {
+/// A tagged crowd view's request, parsed: the epoch it serves, its
+/// `ETag` and its memo key — or the response that ends the request
+/// early, a `304` or a 4xx envelope.
+type Resolved = Result<(ViewEpoch, String, View), Response>;
+
+/// Parses one tagged crowd view's request. Each view has exactly one
+/// resolver, shared by the worker ([`serve_view`]) and the event loop
+/// ([`probe_view`]), so the two never parse differently. The order in
+/// which it checks parameters decides which envelope a request with
+/// several bad ones gets. It materializes nothing.
+type ViewResolver = fn(&CityState, &Request, &HashMap<String, String>) -> Resolved;
+
+/// Serves a resolved tagged crowd view on a worker through the city's
+/// render memo. A hit copies the memoized body; a miss materializes the
+/// model, renders it with [`render_view`] and memoizes the `200` body.
+/// Early responses and error envelopes pass through and are never
+/// stored.
+fn serve_view(state: &CityState, resolved: Resolved) -> Response {
+    let (at, etag, view) = match resolved {
+        Ok(resolved) => resolved,
+        Err(resp) => return resp,
+    };
     let epoch = at.epoch();
     let body = match state.memo().get(epoch, view) {
         Some(body) => body.to_vec(),
@@ -971,6 +1034,26 @@ fn serve_view(state: &CityState, at: &ViewEpoch, etag: &str, view: View) -> Resp
             Err(resp) => return resp,
         },
     };
+    view_response(view, body, &etag)
+}
+
+/// Answers a resolved tagged crowd view without rendering: a `304`, or
+/// a memo hit, with the bytes [`serve_view`] would send. Declines
+/// (`None`) everything else — a miss and every 4xx envelope — so a
+/// worker serves it. Takes only the locks a memo hit takes anyway.
+fn probe_view(state: &CityState, resolved: Resolved) -> Option<Response> {
+    match resolved {
+        Ok((at, etag, view)) => {
+            let body = state.memo().hit(at.epoch(), view)?;
+            Some(view_response(view, body.to_vec(), &etag))
+        }
+        Err(resp) if resp.status == StatusCode::NotModified => Some(resp),
+        Err(_) => None,
+    }
+}
+
+/// The `200` of one tagged crowd view.
+fn view_response(view: View, body: Vec<u8>, etag: &str) -> Response {
     let content_type = match view {
         View::Crowd { .. } | View::Flows { .. } => "application/json; charset=utf-8",
         View::Geojson { .. } => "application/json",
@@ -1062,58 +1145,34 @@ fn render_view(model: &CrowdModel, view: View) -> Result<Vec<u8>, Response> {
     }
 }
 
-fn crowd(
-    _app: &AppState,
-    state: &CityState,
-    request: &Request,
-    _: &HashMap<String, String>,
-) -> Response {
-    let serve = || -> Result<Response, Response> {
-        let (at, etag) = tagged_view_epoch(state, request)?;
-        let hour = parse_hour(request)?;
-        Ok(serve_view(state, &at, &etag, View::Crowd { hour }))
-    };
-    serve().unwrap_or_else(|resp| resp)
+fn crowd(state: &CityState, request: &Request, _: &HashMap<String, String>) -> Resolved {
+    let (at, etag) = tagged_view_epoch(state, request)?;
+    let hour = parse_hour(request)?;
+    Ok((at, etag, View::Crowd { hour }))
 }
 
-fn crowd_map(
-    _app: &AppState,
-    state: &CityState,
-    request: &Request,
-    _: &HashMap<String, String>,
-) -> Response {
-    // Optional ?label=N restricts the view to one place label ("only
-    // the shoppers").
-    let serve = || -> Result<Response, Response> {
-        let (at, etag) = tagged_view_epoch(state, request)?;
-        let label = match request.query_param("label") {
-            None => None,
-            Some(raw) => Some(raw.parse::<u32>().map_err(|_| {
-                error_envelope(
-                    StatusCode::BadRequest,
-                    "bad-label",
-                    "label must be an integer",
-                )
-            })?),
-        };
-        let hour = parse_hour(request)?;
-        Ok(serve_view(state, &at, &etag, View::Map { hour, label }))
+/// `crowd/map`: an optional `?label=N` restricts the view to one place
+/// label ("only the shoppers").
+fn crowd_map(state: &CityState, request: &Request, _: &HashMap<String, String>) -> Resolved {
+    let (at, etag) = tagged_view_epoch(state, request)?;
+    let label = match request.query_param("label") {
+        None => None,
+        Some(raw) => Some(raw.parse::<u32>().map_err(|_| {
+            error_envelope(
+                StatusCode::BadRequest,
+                "bad-label",
+                "label must be an integer",
+            )
+        })?),
     };
-    serve().unwrap_or_else(|resp| resp)
+    let hour = parse_hour(request)?;
+    Ok((at, etag, View::Map { hour, label }))
 }
 
-fn crowd_geojson(
-    _app: &AppState,
-    state: &CityState,
-    request: &Request,
-    _: &HashMap<String, String>,
-) -> Response {
-    let serve = || -> Result<Response, Response> {
-        let (at, etag) = tagged_view_epoch(state, request)?;
-        let hour = parse_hour(request)?;
-        Ok(serve_view(state, &at, &etag, View::Geojson { hour }))
-    };
-    serve().unwrap_or_else(|resp| resp)
+fn crowd_geojson(state: &CityState, request: &Request, _: &HashMap<String, String>) -> Resolved {
+    let (at, etag) = tagged_view_epoch(state, request)?;
+    let hour = parse_hour(request)?;
+    Ok((at, etag, View::Geojson { hour }))
 }
 
 /// Parses an optional hour-of-day query parameter (`default` when
@@ -1127,19 +1186,11 @@ fn parse_hour_param(request: &Request, name: &str, default: u8) -> Result<u8, Re
     }
 }
 
-fn crowd_flows(
-    _app: &AppState,
-    state: &CityState,
-    request: &Request,
-    _: &HashMap<String, String>,
-) -> Response {
-    let serve = || -> Result<Response, Response> {
-        let from = parse_hour_param(request, "from", 9)?;
-        let to = parse_hour_param(request, "to", 10)?;
-        let (at, etag) = tagged_view_epoch(state, request)?;
-        Ok(serve_view(state, &at, &etag, View::Flows { from, to }))
-    };
-    serve().unwrap_or_else(|resp| resp)
+fn crowd_flows(state: &CityState, request: &Request, _: &HashMap<String, String>) -> Resolved {
+    let from = parse_hour_param(request, "from", 9)?;
+    let to = parse_hour_param(request, "to", 10)?;
+    let (at, etag) = tagged_view_epoch(state, request)?;
+    Ok((at, etag, View::Flows { from, to }))
 }
 
 /// `GET /api/v1/epochs`: which epochs are currently scrubbable via
@@ -1973,29 +2024,22 @@ fn trajectory(
     })
 }
 
-/// Serves one slippy-map tile of the crowd heat layer: the portion of
-/// the microcell grid intersecting Web-Mercator tile `z/x/y`, shaded by
-/// the crowd of `?hour=H` (default 9). Standard `z/x/y` addressing means
-/// any web map library can use the platform as a tile source.
-fn tile(
-    _app: &AppState,
-    state: &CityState,
-    request: &Request,
-    params: &HashMap<String, String>,
-) -> Response {
-    let serve = || -> Result<Response, Response> {
-        let bad_tile = |message: &str| error_envelope(StatusCode::BadRequest, "bad-tile", message);
-        let parse = |name: &str| -> Option<u32> { params.get(name).and_then(|s| s.parse().ok()) };
-        let (Some(z), Some(x), Some(y)) = (parse("z"), parse("x"), parse("y")) else {
-            return Err(bad_tile("tile coordinates must be integers"));
-        };
-        let z = u8::try_from(z).map_err(|_| bad_tile("zoom out of range"))?;
-        let tile = crowdweb_geo::TileCoord::new(z, x, y).map_err(|e| bad_tile(&e.to_string()))?;
-        let (at, etag) = tagged_view_epoch(state, request)?;
-        let hour = parse_hour(request)?;
-        Ok(serve_view(state, &at, &etag, View::Tile { tile, hour }))
+/// `tiles/{z}/{x}/{y}`: one slippy-map tile of the crowd heat layer,
+/// the portion of the microcell grid intersecting Web-Mercator tile
+/// `z/x/y`, shaded by the crowd of `?hour=H` (default 9). Standard
+/// `z/x/y` addressing means any web map library can use the platform
+/// as a tile source.
+fn tile(state: &CityState, request: &Request, params: &HashMap<String, String>) -> Resolved {
+    let bad_tile = |message: &str| error_envelope(StatusCode::BadRequest, "bad-tile", message);
+    let parse = |name: &str| -> Option<u32> { params.get(name).and_then(|s| s.parse().ok()) };
+    let (Some(z), Some(x), Some(y)) = (parse("z"), parse("x"), parse("y")) else {
+        return Err(bad_tile("tile coordinates must be integers"));
     };
-    serve().unwrap_or_else(|resp| resp)
+    let z = u8::try_from(z).map_err(|_| bad_tile("zoom out of range"))?;
+    let tile = crowdweb_geo::TileCoord::new(z, x, y).map_err(|e| bad_tile(&e.to_string()))?;
+    let (at, etag) = tagged_view_epoch(state, request)?;
+    let hour = parse_hour(request)?;
+    Ok((at, etag, View::Tile { tile, hour }))
 }
 
 /// Renders tile `tile` of `snap`'s crowd as a 256×256 SVG.
@@ -2133,7 +2177,7 @@ fn export_checkins(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crowdweb_synth::SynthConfig;
 
@@ -2466,7 +2510,7 @@ mod tests {
 
     /// Submits one existing check-in shifted by `step` hours and runs
     /// an epoch, so each call perturbs the crowd model deterministically.
-    fn advance_epoch(router: &Router<AppState>, s: &AppState, step: usize) {
+    pub(crate) fn advance_epoch(router: &Router<AppState>, s: &AppState, step: usize) {
         let snap = s.snapshot();
         let c = snap.dataset().checkins()[step * 31 % snap.dataset().checkins().len()];
         let v = snap.dataset().venue(c.venue()).unwrap();
@@ -3237,7 +3281,7 @@ mod tests {
     }
 
     /// One request per tagged view, with the view it memoizes under.
-    fn memo_cases() -> Vec<(&'static str, View)> {
+    pub(crate) fn memo_cases() -> Vec<(&'static str, View)> {
         let tile = crowdweb_geo::TileCoord::new(11, 602, 770).unwrap();
         vec![
             ("crowd?hour=9", View::Crowd { hour: 9 }),
@@ -3267,7 +3311,10 @@ mod tests {
             .unwrap()
     }
 
-    fn state_with(parallelism: crowdweb_exec::Parallelism, history_depth: usize) -> AppState {
+    pub(crate) fn state_with(
+        parallelism: crowdweb_exec::Parallelism,
+        history_depth: usize,
+    ) -> AppState {
         let mut config = crowdweb_ingest::IngestConfig {
             parallelism,
             history_depth,

@@ -158,12 +158,22 @@ impl RenderMemo {
 
     /// The memoized body of `view` at `epoch`, counting a hit or a miss.
     pub fn get(&self, epoch: u64, view: View) -> Option<Arc<[u8]>> {
+        let found = self.hit(epoch, view);
+        if found.is_none() {
+            self.misses[view.index()].inc();
+        }
+        found
+    }
+
+    /// The memoized body of `view` at `epoch`, counting only a hit. The
+    /// event loop looks here first; a read it cannot answer goes to a
+    /// worker, whose [`RenderMemo::get`] counts the miss, so every read
+    /// still counts exactly once.
+    pub fn hit(&self, epoch: u64, view: View) -> Option<Arc<[u8]>> {
         let found = self.entries.read().bodies.get(&(epoch, view)).cloned();
-        let counter = match found {
-            Some(_) => &self.hits[view.index()],
-            None => &self.misses[view.index()],
-        };
-        counter.inc();
+        if found.is_some() {
+            self.hits[view.index()].inc();
+        }
         found
     }
 
@@ -244,6 +254,18 @@ mod tests {
             assert!(count("crowdweb_render_memo_hits_total", view).is_some());
         }
         assert_eq!(gauge(&metrics), 4);
+    }
+
+    #[test]
+    fn the_loop_lookup_counts_hits_only() {
+        let (memo, metrics) = memo();
+        let view = View::Geojson { hour: 9 };
+        assert!(memo.hit(0, view).is_none());
+        memo.insert(0, view, b"{}", 0);
+        assert_eq!(memo.hit(0, view).as_deref(), Some(&b"{}"[..]));
+        let count = |name| metrics.counter_value(name, &[("view", "crowd/geojson")]);
+        assert_eq!(count("crowdweb_render_memo_hits_total"), Some(1));
+        assert_eq!(count("crowdweb_render_memo_misses_total"), Some(0));
     }
 
     #[test]

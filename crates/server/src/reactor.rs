@@ -25,19 +25,33 @@
 //!              ▼
 //!   ┌──────── Reading ────────┐   bytes accumulate; head end and
 //!   │  buf / head_end / want  │   Content-Length detected by the
-//!   └──────────┬──────────────┘   scanners in `http` (the hardened
-//!              │ complete | EOF    parser stays authoritative)
-//!              ▼
-//!          Dispatched ────────── job on the worker pool: parse with
-//!              │                 `Request::read_from`, route, record
-//!              │ response bytes  metrics, serialize with the
-//!              ▼                 negotiated disposition
+//!   └──────────┬──────────┬───┘   scanners in `http` (the hardened
+//!              │          │       parser stays authoritative)
+//!              │          │ complete GET the route's probe answers
+//!              │          │ (a 304 or a render-memo hit): written in
+//!              │          │ the same pass, no worker
+//!              │ complete | EOF, everything else
+//!              ▼          │
+//!          Dispatched ────┼───── job on the worker pool: parse with
+//!              │          │      `Request::read_from`, route, record
+//!              │ response │      metrics, serialize with the
+//!              ▼ bytes    ▼      negotiated disposition
 //!           Writing ──────────── nonblocking writes until drained
 //!              │          │
 //!              │ close    │ keep-alive: budget left & client agreed
 //!              ▼          ▼
-//!            closed     Reading (pipelined bytes served immediately)
+//!            closed     Reading (pipelined bytes served next)
 //! ```
+//!
+//! The probe is the route's handler minus everything that can take
+//! long: it parses, checks the ring's retained range and looks the
+//! memo up, but never renders, materializes an epoch or does I/O, and
+//! it declines (the request goes to the pool) whatever it cannot answer
+//! that way. A panicking probe costs only its connection. Fairness: the
+//! loop answers at most one request per connection per pass; a
+//! connection left holding another complete pipelined request is driven
+//! again on the next pass, which then polls with a zero timeout, so
+//! one pipelining client cannot hold the only event thread.
 //!
 //! Deadlines are enforced from the loop, never with per-socket
 //! timeouts: `Reading` a fresh request has a read deadline, an idle
@@ -45,9 +59,11 @@
 //! and `Dispatched` none (handlers may legitimately run long).
 //! Saturation is explicit at both edges: over the connection cap a
 //! fresh socket gets an immediate 503-and-close, and a full worker
-//! queue bounces the job back so the event thread answers 503 itself —
-//! honouring the connection's negotiated keep-alive, so shedding one
-//! request does not kill a healthy client's pipeline.
+//! queue bounces a request that needs a worker back so the event
+//! thread answers 503 itself — honouring the connection's negotiated
+//! keep-alive, so shedding one request does not kill a healthy client's
+//! pipeline. Requests the probe answers never need a worker, so they
+//! are served even then.
 
 use crate::http::{
     encode_chunk, find_head_end, scan_head, scan_wants_keep_alive, BodyStream, HeadScan,
@@ -57,6 +73,7 @@ use crate::sys::{self, Interest, PollSet, Readiness, Waker};
 use crate::{AppState, Method, Request, Response, Router, StatusCode};
 use crowdweb_exec::{PoolSaturated, WorkerPool};
 use crowdweb_obs::{Counter, Gauge, Histogram, MetricsRegistry, HTTP_LATENCY_BUCKETS};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -186,20 +203,13 @@ struct LiveStream {
 
 impl LiveStream {
     fn new(body: Box<dyn BodyStream>, route: &str, metrics: &ReactorMetrics) -> LiveStream {
+        let (streamed_bytes, streamed_chunks) = metrics.streamed(route);
         LiveStream {
             body,
             done: false,
             failed: None,
-            streamed_bytes: metrics.registry.counter(
-                "crowdweb_http_streamed_body_bytes_total",
-                "Streamed (chunked) response body bytes produced, by route pattern.",
-                &[("route", route)],
-            ),
-            streamed_chunks: metrics.registry.counter(
-                "crowdweb_http_streamed_chunks_total",
-                "Chunks produced by streamed response bodies, by route pattern.",
-                &[("route", route)],
-            ),
+            streamed_bytes,
+            streamed_chunks,
         }
     }
 }
@@ -284,6 +294,10 @@ struct ReactorMetrics {
     keepalive_reaped: Counter,
     stream_buffered: Gauge,
     stream_aborts: Counter,
+    /// Each route's streamed-body byte and chunk counters, resolved on
+    /// the route's first streamed response. Only the event thread
+    /// touches them.
+    streamed: RefCell<HashMap<String, (Counter, Counter)>>,
 }
 
 impl ReactorMetrics {
@@ -345,8 +359,32 @@ impl ReactorMetrics {
                 "Streamed responses aborted by a mid-body producer error (connection closed without the terminal chunk).",
                 &[],
             ),
+            streamed: RefCell::new(HashMap::new()),
             registry,
         }
+    }
+
+    /// The streamed-body byte and chunk counters of `route`, looked up in
+    /// the registry only on the route's first streamed response.
+    fn streamed(&self, route: &str) -> (Counter, Counter) {
+        let mut streamed = self.streamed.borrow_mut();
+        if let Some(counters) = streamed.get(route) {
+            return counters.clone();
+        }
+        let counters = (
+            self.registry.counter(
+                "crowdweb_http_streamed_body_bytes_total",
+                "Streamed (chunked) response body bytes produced, by route pattern.",
+                &[("route", route)],
+            ),
+            self.registry.counter(
+                "crowdweb_http_streamed_chunks_total",
+                "Chunks produced by streamed response bodies, by route pattern.",
+                &[("route", route)],
+            ),
+        );
+        streamed.insert(route.to_owned(), counters.clone());
+        counters
     }
 }
 
@@ -356,7 +394,8 @@ struct Ctx<'a> {
     router: &'a Arc<Router<AppState>>,
     pool: &'a WorkerPool,
     done_tx: &'a mpsc::Sender<Completion>,
-    waker: &'a Waker,
+    /// The self-pipe's write end, shared by every job.
+    waker: &'a Arc<Waker>,
     metrics: &'a ReactorMetrics,
     config: &'a ReactorConfig,
 }
@@ -366,8 +405,34 @@ enum Drive {
     Progress,
     /// Nothing to do right now.
     Idle,
+    /// The loop answered a request on this connection in this pass and
+    /// another complete request is buffered: drive it again next pass.
+    Yield,
     /// The connection is finished (drained, dead, or hopeless).
     Close,
+}
+
+/// Records a drive's outcome in the loop's bookkeeping: a finished
+/// connection leaves the table, a yielding one is queued for the next
+/// pass. Returns whether anything moved.
+fn settle(
+    outcome: Drive,
+    token: u64,
+    conns: &mut HashMap<u64, Conn>,
+    again: &mut Vec<u64>,
+) -> bool {
+    match outcome {
+        Drive::Progress => true,
+        Drive::Idle => false,
+        Drive::Yield => {
+            again.push(token);
+            true
+        }
+        Drive::Close => {
+            conns.remove(&token);
+            true
+        }
+    }
 }
 
 /// Runs the event loop until `shutdown` is observed. Consumes the
@@ -392,6 +457,10 @@ pub(crate) fn run(
     let mut pollset = PollSet::new();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
+    // Connections that yielded with a complete request buffered; no
+    // readiness event will come for bytes already read, so the next
+    // pass drives them itself.
+    let mut again: Vec<u64> = Vec::new();
 
     while !shutdown.load(Ordering::SeqCst) {
         // 1. Block until the kernel has something for us: a pending
@@ -405,17 +474,28 @@ pub(crate) fn run(
             pollset.register(&conn.stream, token, conn.interest());
         }
         let now = Instant::now();
-        let timeout = conns
-            .values()
-            .filter_map(|c| c.deadline)
-            .min()
-            .map(|deadline| deadline.saturating_duration_since(now));
+        let timeout = if again.is_empty() {
+            conns
+                .values()
+                .filter_map(|c| c.deadline)
+                .min()
+                .map(|deadline| deadline.saturating_duration_since(now))
+        } else {
+            Some(Duration::ZERO)
+        };
         if pollset.wait(timeout).is_err() {
             // A failed poll is unrecoverable loop state; degrade to a
             // short park rather than spinning on the error.
             std::thread::sleep(Duration::from_millis(1));
         }
-        wake_rx.drain();
+        if pollset.waker_ready() {
+            wake_rx.drain();
+        }
+        // Sorted for the lookup in step 4; yields of this pass queue
+        // up for the next one.
+        let mut redrive = std::mem::take(&mut again);
+        redrive.sort_unstable();
+        redrive.dedup();
 
         let woke = Instant::now();
         let mut progressed = false;
@@ -474,7 +554,6 @@ pub(crate) fn run(
         // 3. Move finished worker responses into write queues, then
         // immediately attempt the write — the socket is almost always
         // writable, so most responses go out without another poll.
-        let mut closed: Vec<u64> = Vec::new();
         while let Ok((token, payload)) = done_rx.try_recv() {
             progressed = true;
             match payload {
@@ -498,9 +577,8 @@ pub(crate) fn run(
                             stream,
                         };
                         conn.deadline = Some(Instant::now() + config.write_timeout);
-                        if matches!(drive(token, conn, &ctx), Drive::Close) {
-                            closed.push(token);
-                        }
+                        let outcome = drive(token, conn, &ctx);
+                        settle(outcome, token, &mut conns, &mut again);
                     }
                 }
                 None => {
@@ -508,13 +586,21 @@ pub(crate) fn run(
                 }
             }
         }
-        for token in closed.drain(..) {
-            conns.remove(&token);
-        }
 
-        // 4. Pump every connection the kernel flagged.
+        // 4. Pump the connections that yielded last pass, then every
+        // connection the kernel flagged — each once per pass, so one
+        // that was just re-driven is skipped.
+        for &token in &redrive {
+            if let Some(conn) = conns.get_mut(&token) {
+                let outcome = drive(token, conn, &ctx);
+                progressed |= settle(outcome, token, &mut conns, &mut again);
+            }
+        }
         let ready: Vec<(u64, Readiness)> = pollset.ready().collect();
         for (token, readiness) in ready {
+            if redrive.binary_search(&token).is_ok() {
+                continue;
+            }
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
@@ -528,14 +614,8 @@ pub(crate) fn run(
                 }
                 continue;
             }
-            match drive(token, conn, &ctx) {
-                Drive::Progress => progressed = true,
-                Drive::Idle => {}
-                Drive::Close => {
-                    progressed = true;
-                    conns.remove(&token);
-                }
-            }
+            let outcome = drive(token, conn, &ctx);
+            progressed |= settle(outcome, token, &mut conns, &mut again);
         }
 
         // 5. Deadlines, enforced by the loop instead of per-socket
@@ -612,11 +692,27 @@ fn queue_response(conn: &mut Conn, response: Response, keep_alive: bool, write_t
 /// Advances one connection's state machine as far as it can go without
 /// another poll event: a drained keep-alive response rolls straight
 /// into reading (and possibly dispatching) the next pipelined request.
+/// It stops after the loop itself has answered one request, so one
+/// pipelining client gets one such answer per pass.
 fn drive(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     let mut progressed = false;
+    let mut answered = false;
     loop {
         let step = match conn.state {
-            ConnState::Reading { .. } => drive_read(token, conn, ctx),
+            ConnState::Reading { .. } if answered => {
+                return if reading_complete(conn) {
+                    Drive::Yield
+                } else {
+                    Drive::Progress
+                };
+            }
+            ConnState::Reading { .. } => {
+                let step = drive_read(token, conn, ctx);
+                // Straight from reading to writing: the probe (or the
+                // shed path) answered without a worker.
+                answered = matches!(conn.state, ConnState::Writing { .. });
+                step
+            }
             ConnState::Dispatched => Drive::Idle,
             ConnState::Writing { .. } => drive_write(token, conn, ctx),
         };
@@ -637,7 +733,7 @@ fn drive(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
                     Drive::Idle
                 };
             }
-            Drive::Close => return Drive::Close,
+            outcome @ (Drive::Yield | Drive::Close) => return outcome,
         }
     }
 }
@@ -646,8 +742,7 @@ fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     // A pipelined request may already be complete in the buffer from
     // the previous drain — serve it before touching the socket.
     if reading_complete(conn) {
-        dispatch(token, conn, ctx);
-        return Drive::Progress;
+        return dispatch(token, conn, ctx);
     }
     let mut progressed = false;
     loop {
@@ -663,8 +758,7 @@ fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
                 if empty {
                     return Drive::Close;
                 }
-                dispatch(token, conn, ctx);
-                return Drive::Progress;
+                return dispatch(token, conn, ctx);
             }
             Ok(n) => {
                 progressed = true;
@@ -677,8 +771,7 @@ fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
                     conn.deadline = Some(Instant::now() + ctx.config.read_timeout);
                 }
                 if accumulate(conn, &chunk[..n]) {
-                    dispatch(token, conn, ctx);
-                    return Drive::Progress;
+                    return dispatch(token, conn, ctx);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -733,18 +826,21 @@ fn accumulate(conn: &mut Conn, bytes: &[u8]) -> bool {
     want.is_some_and(|w| buf.len() >= w)
 }
 
-/// Moves a connection to `Dispatched` and hands its buffered request to
-/// the worker pool; bytes pipelined beyond the request stay behind for
-/// the next round. On a saturated pool the event thread sheds load
-/// itself with a 503 that honours the connection's keep-alive.
-fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
+/// Serves a connection's buffered request; bytes pipelined beyond it
+/// stay behind for the next round. A request the route's probe answers
+/// is queued for writing right here. Every other request moves the
+/// connection to `Dispatched` and goes to the worker pool; on a
+/// saturated pool the event thread sheds load itself with a 503 that
+/// honours the connection's keep-alive. Returns `Close` when the probe
+/// panicked, else `Progress`.
+fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     let ConnState::Reading {
         mut buf,
         head_end,
         want,
     } = std::mem::replace(&mut conn.state, ConnState::Dispatched)
     else {
-        return;
+        return Drive::Idle;
     };
     conn.deadline = None;
     if conn.served > 0 {
@@ -756,6 +852,22 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
     // exhausted by this request, and the client still able to send
     // more (no half-close seen).
     let allow_keep_alive = conn.served + 1 < ctx.config.keep_alive_requests.max(1) && !conn.saw_eof;
+    let registry = &ctx.metrics.registry;
+    match probe(
+        &buf,
+        allow_keep_alive,
+        ctx.state,
+        ctx.router,
+        registry,
+        conn.started,
+    ) {
+        Probed::Answered(response, keep) => {
+            queue_response(conn, response, keep, ctx.config.write_timeout);
+            return Drive::Progress;
+        }
+        Probed::Panicked => return Drive::Close,
+        Probed::Declined => {}
+    }
     // The shed path answers without parsing, so its disposition comes
     // from a head scan — computed now, before `buf` moves into the job.
     let shed_keep_alive = allow_keep_alive
@@ -763,9 +875,9 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
     let started = conn.started;
     let state = Arc::clone(ctx.state);
     let router = Arc::clone(ctx.router);
-    let registry = ctx.metrics.registry.clone();
+    let registry = registry.clone();
     let done = ctx.done_tx.clone();
-    let waker = ctx.waker.clone();
+    let waker = Arc::clone(ctx.waker);
     let job = move || {
         let payload = execute(&buf, allow_keep_alive, &state, &router, &registry, started).map(
             |(r, keep, route)| {
@@ -776,7 +888,11 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
                         head.extend_from_slice(&bytes);
                         Payload::Full(head)
                     }
-                    ResponseBody::Stream(body) => Payload::Stream { head, body, route },
+                    ResponseBody::Stream(body) => Payload::Stream {
+                        head,
+                        body,
+                        route: route.to_owned(),
+                    },
                 };
                 (payload, keep)
             },
@@ -799,6 +915,64 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
             ctx.config.write_timeout,
         );
     }
+    Drive::Progress
+}
+
+/// What the event loop's probe made of a buffered request.
+enum Probed {
+    /// Answered without a worker: the response and the negotiated
+    /// keep-alive disposition.
+    Answered(Response, bool),
+    /// Needs a worker: not a `GET`, unparsable, no probe on the route,
+    /// or declined by it.
+    Declined,
+    /// The probe panicked; the connection is dropped.
+    Panicked,
+}
+
+/// Runs the matched route's probe on the event thread for a buffered
+/// `GET` (anything else is declined unparsed), recording the access
+/// metrics of an answered request exactly as [`execute`] would. A
+/// declined request records nothing: the worker that serves it does.
+/// The parse runs under the same `catch_unwind` as the probe, so
+/// nothing here can take the loop down.
+fn probe(
+    bytes: &[u8],
+    allow_keep_alive: bool,
+    state: &AppState,
+    router: &Router<AppState>,
+    registry: &MetricsRegistry,
+    started: Instant,
+) -> Probed {
+    if !bytes.starts_with(b"GET ") {
+        return Probed::Declined;
+    }
+    let probed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let request = Request::read_from(bytes).ok()?;
+        let (response, route) = router.probe(state, &request)?;
+        route.record(
+            registry,
+            Some(request.method),
+            &response,
+            request.body.len(),
+            started,
+        );
+        Some((response, allow_keep_alive && request.wants_keep_alive()))
+    }));
+    match probed {
+        Ok(Some((response, keep))) => Probed::Answered(response, keep),
+        Ok(None) => Probed::Declined,
+        Err(_) => {
+            handler_panicked();
+            Probed::Panicked
+        }
+    }
+}
+
+/// Logs a caught handler or probe panic; the connection is dropped and
+/// serving goes on.
+fn handler_panicked() {
+    eprintln!("crowdweb: connection handler panicked; worker recovered");
 }
 
 /// Parses and routes one buffered request on a worker thread. Returns
@@ -806,14 +980,14 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
 /// the canonical route label (for streamed-body metrics), or `None`
 /// when the connection deserves nothing (unreadable stream, panicking
 /// handler).
-fn execute(
+fn execute<'r>(
     bytes: &[u8],
     allow_keep_alive: bool,
     state: &AppState,
-    router: &Router<AppState>,
+    router: &'r Router<AppState>,
     registry: &MetricsRegistry,
     started: Instant,
-) -> Option<(Response, bool, String)> {
+) -> Option<(Response, bool, &'r str)> {
     match Request::read_from(bytes) {
         Ok(request) => {
             let keep = allow_keep_alive && request.wants_keep_alive();
@@ -831,10 +1005,10 @@ fn execute(
                         request.body.len(),
                         started,
                     );
-                    Some((response, keep, route.label().to_owned()))
+                    Some((response, keep, route.label()))
                 }
                 Err(_) => {
-                    eprintln!("crowdweb: connection handler panicked; worker recovered");
+                    handler_panicked();
                     None
                 }
             }
@@ -856,8 +1030,9 @@ fn execute(
                 e.to_string()
             };
             let response = Response::error(StatusCode::BadRequest, &message);
-            RouteMetrics::new("unparsed").record(registry, None, &response, 0, started);
-            Some((response, false, "unparsed".to_owned()))
+            let route = router.unparsed();
+            route.record(registry, None, &response, 0, started);
+            Some((response, false, route.label()))
         }
         Err(_) => None,
     }
@@ -1332,29 +1507,61 @@ mod tests {
             b"POST /api/v1/users HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
             b"POST /api/v1/checkins HTTP/1.1\r\nContent-Length: 3\r\n\r\nbad",
             b"BREW /coffee HTCPCP/1.0\r\n\r\n",
+            b"GET /api/v1/export/checkins HTTP/1.1\r\n\r\n",
             b"GET /api/v1/stats HTTP/1.1\r\n\r\n",
+            b"GARBAGE\r\n\r\n",
+            b"GET /api/export/checkins HTTP/1.1\r\n\r\n",
         ];
         let router = Arc::new(api::build_router());
         let mut served = Vec::new();
         for _ in 0..2 {
             let (state, _, registry) = app();
+            let metrics = ReactorMetrics::new(registry.clone());
             for raw in traffic {
-                execute(raw, true, &state, &router, &registry, Instant::now()).unwrap();
+                let (response, _, route) =
+                    execute(raw, true, &state, &router, &registry, Instant::now()).unwrap();
+                // A streamed body counts its bytes and chunks as the
+                // loop pulls it.
+                if let ResponseBody::Stream(body) = response.body {
+                    let mut live = LiveStream::new(body, route, &metrics);
+                    let (mut buf, mut written) = (Vec::new(), 0usize);
+                    while !live.done {
+                        refill_stream(&mut buf, &mut written, &mut live, 1 << 16).unwrap();
+                    }
+                }
             }
             served.push(access_lines(&registry));
         }
         let (state, _, reference) = app();
+        let _loop_series = ReactorMetrics::new(reference.clone());
         for raw in traffic {
             match Request::read_from(*raw) {
                 Ok(request) => {
                     let (response, route) = router.dispatch(&state, &request);
+                    let route = route.unwrap_or("unmatched");
                     record_by_lookup(
                         &reference,
                         &request.method.to_string(),
-                        route.unwrap_or("unmatched"),
+                        route,
                         &response,
                         request.body.len(),
                     );
+                    if let ResponseBody::Stream(mut body) = response.body {
+                        let bytes = reference.counter(
+                            "crowdweb_http_streamed_body_bytes_total",
+                            "Streamed (chunked) response body bytes produced, by route pattern.",
+                            &[("route", route)],
+                        );
+                        let chunks = reference.counter(
+                            "crowdweb_http_streamed_chunks_total",
+                            "Chunks produced by streamed response bodies, by route pattern.",
+                            &[("route", route)],
+                        );
+                        while let Some(chunk) = body.next_chunk().unwrap() {
+                            chunks.inc();
+                            bytes.add(chunk.len() as u64);
+                        }
+                    }
                 }
                 Err(e) => {
                     let response = Response::error(StatusCode::BadRequest, &e.to_string());
@@ -1747,5 +1954,364 @@ mod tests {
             wire.contains("5\r\nhello\r\n5\r\nworld\r\n0\r\n\r\n"),
             "{wire}"
         );
+    }
+
+    /// A request the probe can answer is served by `dispatch` itself,
+    /// even with every worker busy and the job queue full; only a
+    /// request that needs a worker is shed.
+    #[test]
+    fn saturated_pool_still_serves_memo_hits_and_revalidations() {
+        let (state, router, registry) = app();
+        let warm = Request::read_from(&b"GET /api/v1/crowd?hour=9 HTTP/1.1\r\n\r\n"[..]).unwrap();
+        assert_eq!(router.route(&state, &warm).status.code(), 200);
+        let (pool, park_tx) = saturated_pool();
+        let (done_tx, _done_rx) = mpsc::channel::<Completion>();
+        let (waker, _wake_rx) = sys::wake_pair().unwrap();
+        let metrics = ReactorMetrics::new(registry);
+        let config = ReactorConfig::default();
+        let ctx = Ctx {
+            state: &state,
+            router: &router,
+            pool: &pool,
+            done_tx: &done_tx,
+            waker: &waker,
+            metrics: &metrics,
+            config: &config,
+        };
+        let answer = |raw: &str| {
+            let mut conn = idle_conn();
+            assert!(accumulate(&mut conn, raw.as_bytes()));
+            assert!(matches!(dispatch(0, &mut conn, &ctx), Drive::Progress));
+            let ConnState::Writing { buf, then, .. } = &conn.state else {
+                panic!("{raw:?} should be answered by the loop");
+            };
+            assert_eq!(*then, WriteThen::Continue, "{raw:?} keeps alive");
+            String::from_utf8_lossy(buf).into_owned()
+        };
+        let etag = format!("\"{}-e0\"", state.default_city_id());
+        let hit = answer("GET /api/v1/crowd?hour=9 HTTP/1.1\r\n\r\n");
+        assert!(hit.starts_with("HTTP/1.1 200 "), "{hit}");
+        assert!(hit.contains(&format!("ETag: {etag}\r\n")), "{hit}");
+        let revalidated = answer(&format!(
+            "GET /api/v1/crowd?hour=9 HTTP/1.1\r\nIf-None-Match: {etag}\r\n\r\n"
+        ));
+        assert!(revalidated.starts_with("HTTP/1.1 304 "), "{revalidated}");
+        assert_eq!(metrics.rejected_busy.get(), 0, "nothing was shed");
+        // A memo miss and a POST need a worker: shed as before.
+        for raw in [
+            "GET /api/v1/crowd?hour=10 HTTP/1.1\r\n\r\n",
+            "POST /api/v1/checkins HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        ] {
+            let shed = answer(raw);
+            assert!(shed.starts_with("HTTP/1.1 503 "), "{shed}");
+            assert!(shed.contains("Retry-After: 1\r\n"), "{shed}");
+        }
+        assert_eq!(metrics.rejected_busy.get(), 2);
+        let _ = park_tx.send(());
+    }
+
+    /// The probe answers a hit and a `304` with the pool path's exact
+    /// bytes, declines everything else without recording anything, and
+    /// a mixed run counts what an all-pool run counts.
+    #[test]
+    fn probe_answers_exactly_what_the_pool_would() {
+        use crate::api::tests::{advance_epoch, memo_cases, state_with};
+        use crowdweb_exec::Parallelism;
+        let router = api::build_router();
+        // Identical platforms: `mixed` tries the probe first and falls
+        // back to the pool, `pool` only ever uses the pool.
+        let (mixed, pool) = (
+            state_with(Parallelism::Sequential, 16),
+            state_with(Parallelism::Sequential, 16),
+        );
+        for s in [&mixed, &pool] {
+            for step in 0..2 {
+                advance_epoch(&router, s, step);
+            }
+        }
+        let wire = |response: Response, keep: bool| {
+            let mut out = Vec::new();
+            response.write_to_with(&mut out, keep).unwrap();
+            out
+        };
+        // Serves `raw` on both platforms, checks the bytes agree and
+        // returns whether the probe answered.
+        let serve = |raw: &str| {
+            let raw = raw.as_bytes();
+            let (response, keep, _) =
+                execute(raw, true, &pool, &router, pool.metrics(), Instant::now()).unwrap();
+            let expected = wire(response, keep);
+            let before = mixed.metrics().render();
+            let (got, answered) =
+                match probe(raw, true, &mixed, &router, mixed.metrics(), Instant::now()) {
+                    Probed::Answered(response, keep) => (wire(response, keep), true),
+                    Probed::Declined => {
+                        assert_eq!(
+                            mixed.metrics().render(),
+                            before,
+                            "a decline records nothing"
+                        );
+                        let (response, keep, _) =
+                            execute(raw, true, &mixed, &router, mixed.metrics(), Instant::now())
+                                .unwrap();
+                        (wire(response, keep), false)
+                    }
+                    Probed::Panicked => panic!("the probe panicked"),
+                };
+            let shown = String::from_utf8_lossy(raw);
+            assert_eq!(
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&expected),
+                "{shown}"
+            );
+            answered
+        };
+        let city = mixed.default_city_id().to_owned();
+        let mut memoized = std::collections::HashSet::new();
+        for prefix in [
+            "/api/v1/".to_owned(),
+            "/api/".to_owned(),
+            format!("/api/v1/cities/{city}/"),
+        ] {
+            for epoch in [None, Some(1)] {
+                for (suffix, view) in memo_cases() {
+                    let path = match epoch {
+                        None => format!("{prefix}{suffix}"),
+                        Some(n) => format!("{prefix}{suffix}&epoch={n}"),
+                    };
+                    let get = format!("GET {path} HTTP/1.1\r\n\r\n");
+                    let miss = memoized.insert((epoch, view));
+                    assert_eq!(serve(&get), !miss, "{path}: declined iff a miss");
+                    assert!(serve(&get), "{path}: a hit is answered");
+                    let etag = format!("\"{city}-e{}\"", epoch.unwrap_or(2));
+                    let revalidate =
+                        format!("GET {path} HTTP/1.1\r\nIf-None-Match: {etag}\r\n\r\n");
+                    assert!(serve(&revalidate), "{path}: a 304 is answered");
+                }
+            }
+        }
+        for path in [
+            "/api/v1/crowd?hour=99",
+            "/api/crowd/map?hour=9&label=x",
+            "/api/v1/cities/nyc/tiles/2/9/0",
+            "/api/v1/crowd/flows?from=9&to=10&epoch=x",
+            "/api/v1/crowd/geojson?hour=9&epoch=999",
+            "/api/v1/cities/atlantis/crowd?hour=9",
+            "/api/v1/stats",
+        ] {
+            assert!(!serve(&format!("GET {path} HTTP/1.1\r\n\r\n")), "{path}");
+        }
+        assert!(!serve(
+            "POST /api/v1/crowd HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        ));
+        let counts = |s: &AppState| -> Vec<String> {
+            s.metrics()
+                .render()
+                .lines()
+                .filter(|l| {
+                    [
+                        "crowdweb_render_memo_hits_total",
+                        "crowdweb_render_memo_misses_total",
+                        "crowdweb_http_requests_total",
+                        "crowdweb_http_requests_by_city_total",
+                    ]
+                    .iter()
+                    .any(|name| l.starts_with(name))
+                })
+                .map(str::to_owned)
+                .collect()
+        };
+        assert!(counts(&mixed).len() > 10, "{:?}", counts(&mixed));
+        assert_eq!(counts(&mixed), counts(&pool));
+    }
+
+    /// A connection pipelining several memo hits gets one answer per
+    /// drive, in order; the rest wait in its buffer for later passes
+    /// instead of for a readiness event that will never come.
+    #[test]
+    fn pipelined_probe_answers_take_one_drive_each() {
+        let (state, router, registry) = app();
+        let paths = [
+            "/api/v1/crowd?hour=9",
+            "/api/v1/crowd/geojson?hour=9",
+            "/api/v1/crowd/map?hour=9",
+        ];
+        let mut expected = Vec::new();
+        for path in paths {
+            let raw = format!("GET {path} HTTP/1.1\r\n\r\n");
+            let request = Request::read_from(raw.as_bytes()).unwrap();
+            let mut wire = Vec::new();
+            let response = router.route(&state, &request);
+            assert_eq!(response.status.code(), 200, "{path}");
+            response.write_to_with(&mut wire, true).unwrap();
+            expected.extend(wire);
+        }
+        // No worker can run: every answer below comes from the probe.
+        let (pool, park_tx) = saturated_pool();
+        let (done_tx, _done_rx) = mpsc::channel::<Completion>();
+        let (waker, _wake_rx) = sys::wake_pair().unwrap();
+        let metrics = ReactorMetrics::new(registry);
+        let config = ReactorConfig::default();
+        let ctx = Ctx {
+            state: &state,
+            router: &router,
+            pool: &pool,
+            done_tx: &done_tx,
+            waker: &waker,
+            metrics: &metrics,
+            config: &config,
+        };
+        let (server, mut client) = socket_pair();
+        let mut conn = Conn::new(server, Duration::from_secs(5));
+        let pipelined: String = paths
+            .iter()
+            .map(|path| format!("GET {path} HTTP/1.1\r\n\r\n"))
+            .collect();
+        assert!(accumulate(&mut conn, pipelined.as_bytes()));
+        assert!(matches!(drive(0, &mut conn, &ctx), Drive::Yield));
+        assert_eq!(conn.served, 1);
+        assert!(matches!(drive(0, &mut conn, &ctx), Drive::Yield));
+        assert_eq!(conn.served, 2);
+        assert!(matches!(drive(0, &mut conn, &ctx), Drive::Progress));
+        assert_eq!(conn.served, 3);
+        assert_eq!(metrics.rejected_busy.get(), 0);
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut got = vec![0u8; expected.len()];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&expected),
+            "answered in request order"
+        );
+        let _ = park_tx.send(());
+    }
+
+    /// Runs the event loop over `router` on a background thread.
+    /// Returns the address, the metrics and a stop function.
+    fn serve_loop(
+        router: Router<AppState>,
+    ) -> (std::net::SocketAddr, MetricsRegistry, impl FnOnce()) {
+        let (state, _, registry) = app();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let join = std::thread::spawn(move || {
+            run(
+                listener,
+                state,
+                Arc::new(router),
+                flag,
+                ReactorConfig::default(),
+            )
+        });
+        let stop = move || {
+            shutdown.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            join.join().unwrap();
+        };
+        (addr, registry, stop)
+    }
+
+    /// Reads one `Content-Length`-framed response off a kept-alive
+    /// connection.
+    fn read_response(stream: &mut TcpStream) -> String {
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            assert_eq!(stream.read(&mut byte).unwrap(), 1, "closed mid-head");
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let mut body = vec![0u8; length];
+        stream.read_exact(&mut body).unwrap();
+        head + &String::from_utf8(body).unwrap()
+    }
+
+    /// Through the real loop: memo hits pipelined in one write are all
+    /// answered, in order, although only the first had a readiness event.
+    #[test]
+    fn the_loop_answers_every_pipelined_memo_hit() {
+        let (addr, registry, stop) = serve_loop(api::build_router());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let paths = ["crowd?hour=9", "crowd/geojson?hour=9", "crowd/flows"];
+        // The first reads render on a worker and fill the memo.
+        let mut first = Vec::new();
+        for path in paths {
+            write!(stream, "GET /api/v1/{path} HTTP/1.1\r\n\r\n").unwrap();
+            let response = read_response(&mut stream);
+            assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+            first.push(response);
+        }
+        let pipelined: String = paths
+            .iter()
+            .map(|path| format!("GET /api/v1/{path} HTTP/1.1\r\n\r\n"))
+            .collect();
+        let sent = Instant::now();
+        stream.write_all(pipelined.as_bytes()).unwrap();
+        for expected in &first {
+            assert_eq!(&read_response(&mut stream), expected);
+        }
+        // Each yielded request is driven by a zero-timeout pass, not
+        // left for the wait's park backstop to pick up.
+        assert!(
+            sent.elapsed() < sys::MAX_PARK,
+            "pipelined answers waited {:?}",
+            sent.elapsed()
+        );
+        let hits: u64 = ["crowd", "crowd/geojson", "crowd/flows"]
+            .iter()
+            .map(|view| {
+                registry
+                    .counter_value("crowdweb_render_memo_hits_total", &[("view", view)])
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(hits, 3, "the pipelined reads were memo hits");
+        drop(stream);
+        stop();
+    }
+
+    /// A panicking probe costs only its own connection: it is dropped
+    /// unanswered, and the loop goes on serving others.
+    #[test]
+    fn a_panicking_probe_drops_only_its_connection() {
+        let mut router: Router<AppState> = Router::new();
+        router.get_probed(
+            &["/boom"],
+            |_, _, _| Response::json("{}".into()),
+            |_, _, _| panic!("probe failure"),
+        );
+        router.get("/ok", |_, _, _| Response::json("\"ok\"".into()));
+        let (addr, _, stop) = serve_loop(router);
+        let mut doomed = TcpStream::connect(addr).unwrap();
+        doomed
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        doomed.write_all(b"GET /boom HTTP/1.1\r\n\r\n").unwrap();
+        let mut got = Vec::new();
+        let _ = doomed.read_to_end(&mut got);
+        assert!(got.is_empty(), "a panicking probe answers nothing: {got:?}");
+        let mut healthy = TcpStream::connect(addr).unwrap();
+        healthy
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        healthy.write_all(b"GET /ok HTTP/1.1\r\n\r\n").unwrap();
+        let response = read_response(&mut healthy);
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+        assert!(response.ends_with("\"ok\""), "{response}");
+        drop(healthy);
+        stop();
     }
 }

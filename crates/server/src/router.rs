@@ -10,6 +10,13 @@ use std::sync::Arc;
 /// patterns (versioned routes and their legacy aliases).
 pub type Handler<S> = Arc<dyn Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync>;
 
+/// A route's probe: the part of its handler that can answer without
+/// rendering or I/O. It returns `None` to decline, and the request then
+/// goes to the handler as usual. The reactor runs probes on its event
+/// thread (see [`Router::probe`]).
+pub(crate) type Probe<S> =
+    Arc<dyn Fn(&S, &Request, &HashMap<String, String>) -> Option<Response> + Send + Sync>;
+
 /// A method+pattern routing table over shared state `S`.
 ///
 /// Patterns are `/`-separated; a segment spelled `:name` or `{name}`
@@ -36,6 +43,8 @@ pub struct Router<S> {
     routes: Vec<Route<S>>,
     /// Access metrics of requests no route matched (404/405).
     unmatched: Arc<RouteMetrics>,
+    /// Access metrics of requests that never parsed (400).
+    unparsed: Arc<RouteMetrics>,
 }
 
 struct Route<S> {
@@ -48,6 +57,7 @@ struct Route<S> {
     metrics: Arc<RouteMetrics>,
     segments: Vec<Segment>,
     handler: Handler<S>,
+    probe: Option<Probe<S>>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +77,8 @@ impl<S> Router<S> {
     pub fn new() -> Router<S> {
         Router {
             routes: Vec::new(),
-            unmatched: Arc::new(RouteMetrics::new("unmatched")),
+            unmatched: route_metrics("unmatched"),
+            unparsed: route_metrics("unparsed"),
         }
     }
 
@@ -76,12 +87,7 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        self.add(
-            Method::Get,
-            pattern,
-            route_metrics(pattern),
-            Arc::new(handler),
-        );
+        self.register(Method::Get, &[pattern], Arc::new(handler), None);
         self
     }
 
@@ -90,12 +96,7 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        self.add(
-            Method::Post,
-            pattern,
-            route_metrics(pattern),
-            Arc::new(handler),
-        );
+        self.register(Method::Post, &[pattern], Arc::new(handler), None);
         self
     }
 
@@ -107,15 +108,7 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        let handler: Handler<S> = Arc::new(handler);
-        let metrics = route_metrics(pattern);
-        self.add(
-            Method::Get,
-            pattern,
-            Arc::clone(&metrics),
-            Arc::clone(&handler),
-        );
-        self.add(Method::Get, alias, metrics, handler);
+        self.register(Method::Get, &[pattern, alias], Arc::new(handler), None);
         self
     }
 
@@ -126,48 +119,62 @@ impl<S> Router<S> {
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        let handler: Handler<S> = Arc::new(handler);
-        let metrics = route_metrics(pattern);
-        self.add(
-            Method::Post,
-            pattern,
-            Arc::clone(&metrics),
-            Arc::clone(&handler),
-        );
-        self.add(Method::Post, alias, metrics, handler);
+        self.register(Method::Post, &[pattern, alias], Arc::new(handler), None);
         self
     }
 
-    fn add(
+    /// Registers a GET route under each of `patterns` — the first is
+    /// canonical, the rest alias it as in [`Router::get_aliased`] — with
+    /// a probe beside the handler.
+    pub(crate) fn get_probed<F, P>(&mut self, patterns: &[&str], handler: F, probe: P)
+    where
+        F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
+        P: Fn(&S, &Request, &HashMap<String, String>) -> Option<Response> + Send + Sync + 'static,
+    {
+        self.register(
+            Method::Get,
+            patterns,
+            Arc::new(handler),
+            Some(Arc::new(probe)),
+        );
+    }
+
+    /// Adds one route per pattern, all sharing the handler, the probe
+    /// and the access metrics labelled by the first (canonical) pattern.
+    fn register(
         &mut self,
         method: Method,
-        pattern: &str,
-        metrics: Arc<RouteMetrics>,
+        patterns: &[&str],
         handler: Handler<S>,
+        probe: Option<Probe<S>>,
     ) {
-        let segments = pattern
-            .split('/')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                if let Some(name) = s.strip_prefix(':') {
-                    Segment::Param(name.to_owned())
-                } else if let Some(name) = s
-                    .strip_prefix('{')
-                    .and_then(|rest| rest.strip_suffix('}'))
-                    .filter(|name| !name.is_empty())
-                {
-                    Segment::Param(name.to_owned())
-                } else {
-                    Segment::Literal(s.to_owned())
-                }
-            })
-            .collect();
-        self.routes.push(Route {
-            method,
-            metrics,
-            segments,
-            handler,
-        });
+        let metrics = route_metrics(patterns[0]);
+        for pattern in patterns {
+            let segments = pattern
+                .split('/')
+                .filter(|s| !s.is_empty())
+                .map(|s| {
+                    if let Some(name) = s.strip_prefix(':') {
+                        Segment::Param(name.to_owned())
+                    } else if let Some(name) = s
+                        .strip_prefix('{')
+                        .and_then(|rest| rest.strip_suffix('}'))
+                        .filter(|name| !name.is_empty())
+                    {
+                        Segment::Param(name.to_owned())
+                    } else {
+                        Segment::Literal(s.to_owned())
+                    }
+                })
+                .collect();
+            self.routes.push(Route {
+                method,
+                metrics: Arc::clone(&metrics),
+                segments,
+                handler: Arc::clone(&handler),
+                probe: probe.clone(),
+            });
+        }
     }
 
     /// Number of registered routes.
@@ -208,23 +215,50 @@ impl<S> Router<S> {
         (response, metrics)
     }
 
+    /// Runs the probe of the route `request` matches — the route
+    /// [`Self::dispatch`] would pick. Returns the probe's response and
+    /// the route's access metrics, or `None` when the route has no probe,
+    /// the probe declines, or no route matches.
+    pub(crate) fn probe(&self, state: &S, request: &Request) -> Option<(Response, &RouteMetrics)> {
+        let (route, params) = self.find(request).ok()?;
+        let response = route.probe.as_ref()?(state, request, &params)?;
+        Some((response, &route.metrics))
+    }
+
+    /// The access metrics of requests that never parsed.
+    pub(crate) fn unparsed(&self) -> &RouteMetrics {
+        &self.unparsed
+    }
+
     fn dispatch_matched(&self, state: &S, request: &Request) -> (Response, Option<&Route<S>>) {
+        match self.find(request) {
+            Ok((route, params)) => ((route.handler)(state, request, &params), Some(route)),
+            Err(path_matched) => {
+                let response = if path_matched {
+                    Response::error(StatusCode::MethodNotAllowed, "method not allowed")
+                } else {
+                    Response::error(StatusCode::NotFound, "not found")
+                };
+                (response, None)
+            }
+        }
+    }
+
+    /// The first route matching `request`'s method and path, with its
+    /// path captures; otherwise whether some route matched the path
+    /// under another method (405, not 404).
+    fn find(&self, request: &Request) -> Result<(&Route<S>, HashMap<String, String>), bool> {
         let parts: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         let mut path_matched = false;
         for route in &self.routes {
             if let Some(params) = match_segments(&route.segments, &parts) {
-                path_matched = true;
                 if route.method == request.method {
-                    return ((route.handler)(state, request, &params), Some(route));
+                    return Ok((route, params));
                 }
+                path_matched = true;
             }
         }
-        let response = if path_matched {
-            Response::error(StatusCode::MethodNotAllowed, "method not allowed")
-        } else {
-            Response::error(StatusCode::NotFound, "not found")
-        };
-        (response, None)
+        Err(path_matched)
     }
 }
 

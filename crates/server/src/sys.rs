@@ -75,6 +75,7 @@ mod imp {
     use std::os::raw::c_int;
     use std::os::unix::io::{AsRawFd, RawFd};
     use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
     use std::time::Duration;
 
     const POLLIN: i16 = 0x001;
@@ -246,7 +247,9 @@ mod imp {
         }
     }
 
-    /// The write end of the self-pipe; cloned into every worker.
+    /// The write end of the self-pipe. Not `Clone`: every worker
+    /// shares the one descriptor through an `Arc`, so handing a job its
+    /// waker never costs a `dup(2)` and a `close(2)`.
     pub struct Waker {
         tx: UnixStream,
     }
@@ -256,14 +259,6 @@ mod imp {
         /// wake is already pending, so `WouldBlock` is success.
         pub fn wake(&self) {
             let _ = (&self.tx).write(&[1]);
-        }
-    }
-
-    impl Clone for Waker {
-        fn clone(&self) -> Waker {
-            Waker {
-                tx: self.tx.try_clone().expect("self-pipe clones"),
-            }
         }
     }
 
@@ -286,12 +281,13 @@ mod imp {
         }
     }
 
-    /// A connected nonblocking self-pipe pair.
-    pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
+    /// A connected nonblocking self-pipe pair; the write end comes
+    /// shared, ready to hand to every worker.
+    pub fn wake_pair() -> io::Result<(Arc<Waker>, WakeReceiver)> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Waker { tx }, WakeReceiver { rx }))
+        Ok((Arc::new(Waker { tx }), WakeReceiver { rx }))
     }
 
     /// Re-issues `listen(2)` with a deeper accept backlog than the
@@ -339,6 +335,7 @@ mod imp {
     use super::{Interest, Readiness, MAX_PARK};
     use std::io;
     use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// Degraded fallback: no OS readiness, so every wait is a short
@@ -402,7 +399,6 @@ mod imp {
     }
 
     /// Inert waker: the short park doubles as the wake signal.
-    #[derive(Clone)]
     pub struct Waker;
     impl Waker {
         /// No-op; the fallback loop wakes on its own.
@@ -417,8 +413,8 @@ mod imp {
     }
 
     /// An inert waker pair.
-    pub fn wake_pair() -> io::Result<(Waker, WakeReceiver)> {
-        Ok((Waker, WakeReceiver))
+    pub fn wake_pair() -> io::Result<(Arc<Waker>, WakeReceiver)> {
+        Ok((Arc::new(Waker), WakeReceiver))
     }
 
     /// No backlog control without the syscall; the default stands.

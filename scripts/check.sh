@@ -117,6 +117,16 @@ for metric in crowdweb_render_memo_hits_total \
     }
 done
 
+echo "== reactor probe gate =="
+# Render-free reads (memo hits and 304s) are answered on the event
+# thread: byte- and count-identical to the worker path, still served
+# when the worker queue is full, one per connection per loop pass, and
+# in pipelined order.
+cargo test -q -p crowdweb-server --lib saturated_pool_still_serves_memo_hits_and_revalidations
+cargo test -q -p crowdweb-server --lib probe_answers_exactly_what_the_pool_would
+cargo test -q -p crowdweb-server --lib pipelined
+cargo test -q -p crowdweb-server --test keep_alive pipelined
+
 echo "== API v1 doc-drift gate =="
 # Every route registered in build_router must appear verbatim in the
 # README endpoint table (parameter spellings like :user included).
