@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use crowdweb_bench::{banner, mid_context};
 use crowdweb_crowd::CrowdModel;
 use crowdweb_dataset::{Dataset, MergeRecord, Timestamp};
-use crowdweb_ingest::{CrowdHistory, EpochMode, IngestConfig, IngestEngine};
+use crowdweb_ingest::{CrowdHistory, EpochMode, IngestConfig, ShardedIngestEngine};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,6 +27,7 @@ const BATCH: usize = 64;
 fn config() -> IngestConfig {
     let mut c = IngestConfig::default();
     c.preprocessor = c.preprocessor.min_active_days(20);
+    c.shards = 1;
     c
 }
 
@@ -56,7 +57,7 @@ fn batch(dataset: &Dataset, n: usize, shift_secs: i64) -> Vec<MergeRecord> {
 /// every epoch (0 = cold build), so history configurations can be
 /// replayed over an identical model sequence.
 fn epoch_models(dataset: &Dataset) -> Vec<Arc<CrowdModel>> {
-    let engine = IngestEngine::open(dataset.clone(), config()).unwrap();
+    let engine = ShardedIngestEngine::open(dataset.clone(), config()).unwrap();
     let mut models = vec![engine.snapshot().crowd_arc()];
     for e in 0..EPOCHS {
         engine

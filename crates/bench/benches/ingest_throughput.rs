@@ -15,7 +15,7 @@ use crowdweb_crowd::{PipelineDriver, TimeWindows};
 use crowdweb_dataset::{Dataset, MergeRecord, Timestamp};
 use crowdweb_exec::Parallelism;
 use crowdweb_geo::BoundingBox;
-use crowdweb_ingest::{IngestConfig, IngestEngine, ShardedIngestEngine, WalConfig};
+use crowdweb_ingest::{IngestConfig, ShardedIngestEngine, WalConfig};
 use crowdweb_prep::Preprocessor;
 use std::hint::black_box;
 use std::time::Instant;
@@ -26,6 +26,7 @@ const BATCH_SIZES: [usize; 3] = [16, 64, 256];
 fn config() -> IngestConfig {
     let mut c = IngestConfig::default();
     c.preprocessor = c.preprocessor.min_active_days(20);
+    c.shards = 1;
     c.min_support = MIN_SUPPORT;
     c
 }
@@ -69,7 +70,7 @@ fn bench(c: &mut Criterion) {
         let records = batch(&ctx.dataset, n);
         let merged = ctx.dataset.merge_records(&records).unwrap();
 
-        let engine = IngestEngine::open(ctx.dataset.clone(), config()).unwrap();
+        let engine = ShardedIngestEngine::open(ctx.dataset.clone(), config()).unwrap();
         engine.submit(records).unwrap();
         let t0 = Instant::now();
         let report = engine.run_epoch().unwrap().expect("non-empty queue");
@@ -133,7 +134,7 @@ fn bench(c: &mut Criterion) {
     std::fs::remove_dir_all(&wal_dir).ok();
     let mut cfg = config();
     cfg.wal = Some(WalConfig::new(&wal_dir));
-    let engine = IngestEngine::open(ctx.dataset.clone(), cfg).unwrap();
+    let engine = ShardedIngestEngine::open(ctx.dataset.clone(), cfg).unwrap();
     let records = batch(&ctx.dataset, 256);
     let t0 = Instant::now();
     let mut submitted = 0usize;
@@ -166,7 +167,7 @@ fn bench(c: &mut Criterion) {
     for n in BATCH_SIZES {
         let records = batch(&ctx.dataset, n);
         group.bench_with_input(BenchmarkId::new("submit_epoch", n), &records, |b, recs| {
-            let engine = IngestEngine::open(ctx.dataset.clone(), config()).unwrap();
+            let engine = ShardedIngestEngine::open(ctx.dataset.clone(), config()).unwrap();
             b.iter(|| {
                 engine.submit(black_box(recs.clone())).unwrap();
                 engine.run_epoch().unwrap()

@@ -5,17 +5,17 @@
 //! a serving system that absorbs new data while answering queries. This
 //! crate turns the batch pipeline into that system:
 //!
-//! 1. **Bounded queue** — [`IngestEngine::submit`] accepts
-//!    [`MergeRecord`] batches into a bounded queue; a full queue
-//!    rejects the batch with [`IngestError::Backpressure`] instead of
-//!    growing without limit.
+//! 1. **Bounded queue** — [`ShardedIngestEngine::submit`] accepts
+//!    [`MergeRecord`](crowdweb_dataset::MergeRecord) batches into a
+//!    bounded queue; a full queue rejects the batch with
+//!    [`IngestError::Backpressure`] instead of growing without limit.
 //! 2. **Write-ahead log** ([`wal`]) — accepted records are framed
 //!    (`len + crc32 + JSON`) into segment files *before* they are
 //!    queued and replayed on startup. The segments are the only
 //!    durable copy: epochs and restarts write nothing else, so ingest
 //!    cost tracks the new records, not the history. A torn final
 //!    record is truncated away on replay.
-//! 3. **Epoch snapshots** ([`engine`]) — [`IngestEngine::run_epoch`]
+//! 3. **Epoch snapshots** ([`engine`]) — [`ShardedIngestEngine::run_epoch`]
 //!    drains the queue, merges the batch into the dataset, re-runs the
 //!    pipeline *incrementally* (only users whose sequences changed are
 //!    re-prepared, re-mined, and re-placed; the crowd model is spliced
@@ -23,13 +23,14 @@
 //!    [`Arc<PlatformSnapshot>`](PlatformSnapshot) via
 //!    [`crowdweb_exec::EpochCell`] — readers never block behind
 //!    ingestion and never observe a half-updated pipeline.
-//! 4. **Observability** ([`stats`]) — [`IngestEngine::stats`] reports
-//!    queue depth, WAL bytes, epoch latency, and re-mine counts.
+//! 4. **Observability** ([`stats`]) — [`ShardedIngestEngine::stats`]
+//!    reports queue depth, WAL bytes, epoch latency, and re-mine
+//!    counts, engine-wide and per shard.
 //! 5. **Sharding** ([`shard`]) — [`ShardedIngestEngine`] partitions
 //!    the queue, the WAL, and the per-epoch dirty set across
 //!    `hash(user) % N` shards so epoch re-mining fans out per shard,
 //!    while a global sequence counter keeps snapshots byte-identical
-//!    to the unsharded engine for any shard count.
+//!    for any shard count, one included.
 //! 6. **Epoch history** ([`history`]) — each published epoch is also
 //!    recorded in a bounded [`CrowdHistory`] ring as either a shared
 //!    full checkpoint or a [`CrowdSplice`](crowdweb_crowd::CrowdSplice)
@@ -46,7 +47,7 @@
 //! # Examples
 //!
 //! ```
-//! use crowdweb_ingest::{IngestConfig, IngestEngine};
+//! use crowdweb_ingest::{IngestConfig, ShardedIngestEngine};
 //! use crowdweb_dataset::MergeRecord;
 //! use crowdweb_synth::SynthConfig;
 //!
@@ -54,7 +55,7 @@
 //! let base = SynthConfig::small(51).generate()?;
 //! let mut config = IngestConfig::default();
 //! config.preprocessor = config.preprocessor.min_active_days(20);
-//! let engine = IngestEngine::open(base, config)?;
+//! let engine = ShardedIngestEngine::open(base, config)?;
 //! let before = engine.snapshot();
 //!
 //! // Re-submit an existing check-in shifted by an hour.
@@ -88,12 +89,10 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use engine::{IngestConfig, IngestEngine};
+pub use engine::IngestConfig;
 pub use error::IngestError;
 pub use history::{CrowdHistory, EpochInfo, EpochRecord, EpochRepr};
 pub use shard::{effective_shards, shard_of, ShardedIngestEngine, MAX_SHARDS};
 pub use snapshot::PlatformSnapshot;
-pub use stats::{
-    EpochMode, EpochReport, IngestStats, ShardStats, ShardedIngestStats, SubmitReceipt,
-};
+pub use stats::{EpochMode, EpochReport, ShardStats, ShardedIngestStats, SubmitReceipt};
 pub use wal::{Wal, WalConfig, WalEntry, WalRecovery};

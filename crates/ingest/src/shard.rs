@@ -1,4 +1,4 @@
-//! User-id-range sharded ingest engine.
+//! The live-ingestion engine, sharded by user id.
 //!
 //! [`ShardedIngestEngine`] splits the live path into `N` shards, each
 //! owning a bounded queue slice, its own WAL directory
@@ -18,14 +18,16 @@
 //! - epochs drain every shard and merge/re-prepare over the seq-sorted
 //!   union, then fan the expensive re-mining out **per shard** on
 //!   [`parallel_map_with_index`], splicing results back in prepared
-//!   user order — byte-identical to the unsharded engine's
-//!   `detect_updated` for any shard count and any
+//!   user order — byte-identical to
+//!   [`PatternMiner::detect_updated`](crowdweb_mobility::PatternMiner::detect_updated)
+//!   for any shard count and any
 //!   [`Parallelism`](crowdweb_exec::Parallelism) policy.
 //!
 //! The shard segments are the only durable copy of the records: epochs
 //! write nothing to disk. Crash recovery opens every `shard-*`
-//! directory concurrently (plus any legacy unsharded log in the WAL
-//! root), unions the surviving entries by sequence number, and
+//! directory concurrently (plus any unsharded log an earlier release
+//! left in the WAL root), unions the surviving entries by sequence
+//! number, and
 //! cold-builds epoch 0 without rewriting a byte. A torn tail in one
 //! shard truncates only that shard's final frame; the other shards'
 //! records — including ones with higher sequence numbers — survive
@@ -41,7 +43,6 @@ use crowdweb_crowd::CrowdModel;
 use crowdweb_dataset::{Dataset, MergeRecord, UserId};
 use crowdweb_exec::{parallel_map, parallel_map_with_index, EpochCell};
 use crowdweb_mobility::UserPatterns;
-use crowdweb_obs::{Gauge, Histogram, EPOCH_LATENCY_BUCKETS, SHARD_FANOUT_SECONDS};
 use crowdweb_prep::{Prepared, UserView};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -81,48 +82,6 @@ pub fn effective_shards(configured: usize) -> usize {
     n.clamp(1, MAX_SHARDS)
 }
 
-/// Pre-registered per-shard metric handles (bounded `shard` label).
-#[derive(Debug)]
-struct ShardMetrics {
-    base: IngestMetrics,
-    queue_depth: Vec<Gauge>,
-    dirty_users: Vec<Gauge>,
-    fanout_seconds: Vec<Histogram>,
-}
-
-impl ShardMetrics {
-    fn new(base: IngestMetrics, shards: usize) -> ShardMetrics {
-        let mut queue_depth = Vec::with_capacity(shards);
-        let mut dirty_users = Vec::with_capacity(shards);
-        let mut fanout_seconds = Vec::with_capacity(shards);
-        for k in 0..shards {
-            let label = k.to_string();
-            queue_depth.push(base.registry.gauge(
-                "crowdweb_ingest_shard_queue_depth",
-                "Records queued on this shard for the next epoch.",
-                &[("shard", &label)],
-            ));
-            dirty_users.push(base.registry.gauge(
-                "crowdweb_ingest_shard_dirty_users",
-                "Users this shard re-mined in the most recent epoch.",
-                &[("shard", &label)],
-            ));
-            fanout_seconds.push(base.registry.histogram(
-                SHARD_FANOUT_SECONDS,
-                "Wall-clock seconds of this shard's re-mine slice per epoch.",
-                &[("shard", &label)],
-                &EPOCH_LATENCY_BUCKETS,
-            ));
-        }
-        ShardMetrics {
-            base,
-            queue_depth,
-            dirty_users,
-            fanout_seconds,
-        }
-    }
-}
-
 /// One shard's mutable state. Ordering still lives globally (a single
 /// sequence counter under the engine-wide lock); the shard owns the
 /// durability and the dirty set for its user range.
@@ -147,11 +106,14 @@ struct ShardedInner {
     last_epoch: Option<EpochReport>,
 }
 
-/// The sharded live-ingestion engine (see the [module docs](self)).
+/// The live-ingestion engine (see the [module docs](self) and the
+/// [crate docs](crate)).
 ///
-/// Drop-in compatible with [`IngestEngine`](crate::IngestEngine) for
-/// the submit → epoch → snapshot flow, with byte-identical snapshots
-/// for any shard count.
+/// Readers call [`Self::snapshot`] and never block behind ingestion;
+/// writers submit batches that are framed into the shard WALs and
+/// queued, and epochs fold the queues into a fresh
+/// [`PlatformSnapshot`] swapped in atomically. Snapshots are
+/// byte-identical for any shard count.
 #[derive(Debug)]
 pub struct ShardedIngestEngine {
     config: IngestConfig,
@@ -162,7 +124,7 @@ pub struct ShardedIngestEngine {
     /// Serializes epochs without blocking submitters or readers.
     epoch_guard: Mutex<()>,
     history: CrowdHistory,
-    metrics: Option<ShardMetrics>,
+    metrics: Option<IngestMetrics>,
 }
 
 impl ShardedIngestEngine {
@@ -202,7 +164,7 @@ impl ShardedIngestEngine {
                 entries.extend(recovery.entries);
                 wals.push(Some(wal));
             }
-            // Any unsharded log left in the root by the plain engine, and
+            // Any unsharded log an earlier release left in the root, and
             // shard directories beyond the current count, are recovered
             // and folded into the current shards below, then deleted.
             let (_, recovery) = Wal::open(wal_config)?;
@@ -278,7 +240,7 @@ impl ShardedIngestEngine {
         let metrics = config
             .metrics
             .clone()
-            .map(|registry| ShardMetrics::new(IngestMetrics::new(registry), shard_count));
+            .map(|registry| IngestMetrics::new(registry, shard_count));
         let history = CrowdHistory::new(
             snapshot.crowd_arc(),
             config.history_depth,
@@ -334,16 +296,22 @@ impl ShardedIngestEngine {
     /// batch's order within each shard and assigning sequence numbers
     /// from one global counter, so the seq-sorted union of the shard
     /// queues reconstructs the submit order exactly), appends each
-    /// slice to its shard's WAL, and enqueues — all under one lock.
+    /// slice to its shard's WAL (durably, when configured), and
+    /// enqueues — all under one lock, so log order equals queue order.
     /// If **any** target shard's queue slice would overflow, the whole
-    /// batch is rejected and nothing is appended anywhere.
+    /// batch is rejected and nothing is appended anywhere. When
+    /// [`IngestConfig::epoch_batch`] is reached, an epoch runs inline
+    /// and its report rides on the receipt.
     ///
     /// # Errors
     ///
-    /// Same contract as [`IngestEngine::submit`](crate::IngestEngine::submit):
     /// [`IngestError::Backpressure`] (reporting the saturated shard's
-    /// queue) and WAL errors reject atomically; an inline-epoch failure
-    /// returns [`IngestError::EpochFailed`] with the accepted range.
+    /// queue) and WAL I/O errors both reject the batch atomically
+    /// (nothing queued, every shard's append undone, the sequence
+    /// numbers released) — the client may retry. An inline epoch that
+    /// fails *after* acceptance returns [`IngestError::EpochFailed`]
+    /// carrying the accepted range — the batch is held by the engine
+    /// and must **not** be re-submitted.
     pub fn submit(&self, records: Vec<MergeRecord>) -> Result<SubmitReceipt, IngestError> {
         let n = self.shard_count;
         let (first_seq, last_seq, depth) = {
@@ -424,31 +392,35 @@ impl ShardedIngestEngine {
                     return Err(e);
                 }
                 if let Some(metrics) = &self.metrics {
-                    metrics.base.wal_bytes.add(appended_bytes);
-                    metrics.base.wal_records.add(total as u64);
+                    metrics.wal_bytes.add(appended_bytes);
+                    metrics.wal_records.add(total as u64);
                 }
             }
 
             inner.total_accepted += total as u64;
             if let Some(metrics) = &self.metrics {
-                metrics.base.accepted.add(total as u64);
+                metrics.accepted.add(total as u64);
             }
             for (k, slice) in per_shard.into_iter().enumerate() {
                 let shard = &mut inner.shards[k];
                 shard.accepted += slice.len() as u64;
                 shard.queue.extend(slice);
                 if let Some(metrics) = &self.metrics {
-                    metrics.queue_depth[k].set(shard.queue.len() as i64);
+                    metrics.shard_queue_depth[k].set(shard.queue.len() as i64);
                 }
             }
             let depth: usize = inner.shards.iter().map(|s| s.queue.len()).sum();
             if let Some(metrics) = &self.metrics {
-                metrics.base.queue_depth.set(depth as i64);
+                metrics.queue_depth.set(depth as i64);
             }
             (first_seq, last_seq, depth)
         };
         let mut report = None;
         if self.config.epoch_batch.is_some_and(|batch| depth >= batch) {
+            // The batch is already accepted (logged and queued): an
+            // epoch failure here must not read as a rejected submit, or
+            // clients would re-submit and double-apply. Wrap it so the
+            // error itself carries the accepted range.
             match self.run_epoch() {
                 Ok(r) => report = r,
                 Err(source) => {
@@ -474,9 +446,11 @@ impl ShardedIngestEngine {
     /// when all queues were empty. The merge and re-prepare run over
     /// the seq-sorted union (ordering is global), the re-mine fans out
     /// per shard on the `crowdweb-exec` engine, and each shard's delta
-    /// is spliced back in prepared user order — byte-identical to the
-    /// unsharded engine. The epoch does no WAL I/O: every record it
-    /// applies is already durable in its shard's segments.
+    /// is spliced back in prepared user order, so the snapshot is
+    /// byte-identical for any shard count. Readers keep serving the
+    /// previous snapshot throughout; the swap is atomic. The epoch does
+    /// no WAL I/O: every record it applies is already durable in its
+    /// shard's segments.
     ///
     /// # Errors
     ///
@@ -493,10 +467,10 @@ impl ShardedIngestEngine {
                 .map(|s| s.queue.drain(..).collect())
                 .collect();
             if let Some(metrics) = &self.metrics {
-                for gauge in &metrics.queue_depth {
+                for gauge in &metrics.shard_queue_depth {
                     gauge.set(0);
                 }
-                metrics.base.queue_depth.set(0);
+                metrics.queue_depth.set(0);
             }
             drained
         };
@@ -508,10 +482,13 @@ impl ShardedIngestEngine {
         batch.sort_by_key(|e| e.seq);
 
         let previous = self.cell.load();
-        let result =
-            build_next_snapshot(&self.config, &previous, &batch, |prepared, prev, dirty| {
-                self.mine_sharded(prepared, prev, dirty)
-            });
+        let result = build_next_snapshot(
+            &self.config,
+            self.shard_count,
+            self.metrics.as_ref(),
+            &previous,
+            &batch,
+        );
         let (snapshot, mode, delta) = match result {
             Ok(next) => next,
             Err(e) => {
@@ -524,12 +501,12 @@ impl ShardedIngestEngine {
                         shard.queue.push_front(entry);
                     }
                     if let Some(metrics) = &self.metrics {
-                        metrics.queue_depth[k].set(shard.queue.len() as i64);
+                        metrics.shard_queue_depth[k].set(shard.queue.len() as i64);
                     }
                 }
                 if let Some(metrics) = &self.metrics {
                     let depth: usize = inner.shards.iter().map(|s| s.queue.len()).sum();
-                    metrics.base.queue_depth.set(depth as i64);
+                    metrics.queue_depth.set(depth as i64);
                 }
                 return Err(e);
             }
@@ -554,15 +531,12 @@ impl ShardedIngestEngine {
         );
         self.cell.store(next);
         if let Some(metrics) = &self.metrics {
-            metrics
-                .base
-                .epoch_seconds
-                .observe(start.elapsed().as_secs_f64());
-            metrics.base.dirty_users.set(delta.users_recomputed as i64);
-            metrics.base.count_epoch(mode);
+            metrics.epoch_seconds.observe(start.elapsed().as_secs_f64());
+            metrics.dirty_users.set(delta.users_recomputed as i64);
+            metrics.count_epoch(mode);
             for (k, drained) in per_shard_batch.iter().enumerate() {
                 let dirty: BTreeSet<UserId> = drained.iter().map(|e| e.record.user).collect();
-                metrics.dirty_users[k].set(dirty.len() as i64);
+                metrics.shard_dirty_users[k].set(dirty.len() as i64);
             }
         }
         let mut inner = self.inner.lock();
@@ -579,56 +553,6 @@ impl ShardedIngestEngine {
             }
         }
         Ok(Some(report))
-    }
-
-    /// The sharded re-mine: partitions the to-mine set (dirty users
-    /// plus users absent from the previous patterns) by [`shard_of`],
-    /// mines each partition as one parallel task, and splices results
-    /// back in `prepared.seqdb().user_ids()` order. Produces exactly
-    /// what [`PatternMiner::detect_updated`] produces, byte for byte —
-    /// the per-user miner is deterministic and the splice order is
-    /// global — while giving the executor shard-grained units of work.
-    fn mine_sharded(
-        &self,
-        prepared: &Prepared,
-        previous: &[UserPatterns],
-        dirty: &BTreeSet<UserId>,
-    ) -> Result<Vec<UserPatterns>, IngestError> {
-        let miner = self.config.miner()?;
-        let prev: HashMap<UserId, &UserPatterns> = previous.iter().map(|p| (p.user, p)).collect();
-        let mut buckets: Vec<Vec<UserView<'_>>> = vec![Vec::new(); self.shard_count];
-        for view in prepared.seqdb().views() {
-            if dirty.contains(&view.user()) || !prev.contains_key(&view.user()) {
-                buckets[shard_of(view.user(), self.shard_count)].push(view);
-            }
-        }
-        let metrics = self.metrics.as_ref();
-        let mined = parallel_map_with_index(self.config.parallelism, &buckets, |k, views| {
-            let started = Instant::now();
-            let out: Result<Vec<UserPatterns>, _> =
-                views.iter().map(|view| miner.detect_view(*view)).collect();
-            if let Some(metrics) = metrics {
-                metrics.fanout_seconds[k].observe(started.elapsed().as_secs_f64());
-            }
-            out
-        });
-        let mut mined_by_user: HashMap<UserId, UserPatterns> = HashMap::new();
-        for shard in mined {
-            for patterns in shard.map_err(crowdweb_crowd::PipelineError::Mobility)? {
-                mined_by_user.insert(patterns.user, patterns);
-            }
-        }
-        Ok(prepared
-            .seqdb()
-            .user_ids()
-            .iter()
-            .map(|user| match mined_by_user.remove(user) {
-                Some(fresh) => fresh,
-                // Only reachable for users present in `previous` (the
-                // bucket filter mined everyone else).
-                None => (*prev.get(user).expect("filtered above")).clone(),
-            })
-            .collect())
     }
 
     /// Point-in-time statistics, including one [`ShardStats`] row per
@@ -687,6 +611,58 @@ impl ShardedIngestEngine {
     }
 }
 
+/// The sharded re-mine: partitions the to-mine set (dirty users plus
+/// users absent from the previous patterns) by [`shard_of`], mines each
+/// partition as one parallel task, and splices results back in
+/// `prepared.seqdb().user_ids()` order. Produces exactly what
+/// [`PatternMiner::detect_updated`](crowdweb_mobility::PatternMiner::detect_updated)
+/// produces, byte for byte — the per-user miner is deterministic and
+/// the splice order is global — while giving the executor
+/// shard-grained units of work.
+pub(crate) fn mine_sharded(
+    config: &IngestConfig,
+    shards: usize,
+    metrics: Option<&IngestMetrics>,
+    prepared: &Prepared,
+    previous: &[UserPatterns],
+    dirty: &BTreeSet<UserId>,
+) -> Result<Vec<UserPatterns>, IngestError> {
+    let miner = config.miner()?;
+    let prev: HashMap<UserId, &UserPatterns> = previous.iter().map(|p| (p.user, p)).collect();
+    let mut buckets: Vec<Vec<UserView<'_>>> = vec![Vec::new(); shards];
+    for view in prepared.seqdb().views() {
+        if dirty.contains(&view.user()) || !prev.contains_key(&view.user()) {
+            buckets[shard_of(view.user(), shards)].push(view);
+        }
+    }
+    let mined = parallel_map_with_index(config.parallelism, &buckets, |k, views| {
+        let started = Instant::now();
+        let out: Result<Vec<UserPatterns>, _> =
+            views.iter().map(|view| miner.detect_view(*view)).collect();
+        if let Some(metrics) = metrics {
+            metrics.fanout_seconds[k].observe(started.elapsed().as_secs_f64());
+        }
+        out
+    });
+    let mut mined_by_user: HashMap<UserId, UserPatterns> = HashMap::new();
+    for shard in mined {
+        for patterns in shard.map_err(crowdweb_crowd::PipelineError::Mobility)? {
+            mined_by_user.insert(patterns.user, patterns);
+        }
+    }
+    Ok(prepared
+        .seqdb()
+        .user_ids()
+        .iter()
+        .map(|user| match mined_by_user.remove(user) {
+            Some(fresh) => fresh,
+            // Only reachable for users present in `previous` (the
+            // bucket filter mined everyone else).
+            None => (*prev.get(user).expect("filtered above")).clone(),
+        })
+        .collect())
+}
+
 fn shard_wal_config(base: &WalConfig, shard: usize) -> WalConfig {
     WalConfig {
         dir: base.dir.join(format!("shard-{shard}")),
@@ -696,7 +672,7 @@ fn shard_wal_config(base: &WalConfig, shard: usize) -> WalConfig {
 
 /// What an open folds into the current shards: `shard-<k>` directories
 /// with `k` at or beyond the current count, and the segment and
-/// checkpoint files an unsharded engine left in the WAL root.
+/// checkpoint files an earlier, unsharded release left in the WAL root.
 fn stale_sources(
     dir: &Path,
     shard_count: usize,
@@ -727,8 +703,8 @@ fn stale_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IngestEngine;
     use crowdweb_dataset::Timestamp;
+    use crowdweb_obs::{MetricsRegistry, SHARD_FANOUT_SECONDS};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -787,13 +763,189 @@ mod tests {
         assert_eq!(effective_shards(1_000), MAX_SHARDS);
     }
 
+    /// The crowd model of a cold build over the base plus `records`.
+    fn cold_crowd(cfg: &IngestConfig, records: &[MergeRecord]) -> String {
+        let merged = base().merge_records(records).unwrap();
+        serde_json::to_string(&cfg.driver().unwrap().run(&merged).unwrap().crowd).unwrap()
+    }
+
     #[test]
-    fn sharded_epoch_matches_unsharded_engine() {
-        let unsharded = IngestEngine::open(base(), config(1)).unwrap();
-        let records = shifted_records(unsharded.snapshot().dataset(), 3600, 24);
-        unsharded.submit(records.clone()).unwrap();
-        unsharded.run_epoch().unwrap().unwrap();
-        let want = serde_json::to_string(unsharded.snapshot().crowd()).unwrap();
+    fn backpressure_rejects_whole_batch() {
+        let mut cfg = config(1);
+        cfg.queue_capacity = 3;
+        let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
+        let records = shifted_records(engine.snapshot().dataset(), 3600, 2);
+        engine.submit(records.clone()).unwrap();
+        let err = engine.submit(records).unwrap_err();
+        assert!(matches!(
+            err,
+            IngestError::Backpressure {
+                queued: 2,
+                capacity: 3,
+                rejected: 2
+            }
+        ));
+        assert_eq!(engine.queue_depth(), 2, "rejected batch must not enqueue");
+        assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn empty_submit_and_empty_epoch_are_noops() {
+        let engine = ShardedIngestEngine::open(base(), config(1)).unwrap();
+        let receipt = engine.submit(Vec::new()).unwrap();
+        assert_eq!(receipt.accepted, 0);
+        assert!(engine.run_epoch().unwrap().is_none());
+        assert_eq!(engine.epoch(), 0);
+    }
+
+    #[test]
+    fn epoch_applies_batch_and_updates_stats() {
+        let engine = ShardedIngestEngine::open(base(), config(1)).unwrap();
+        let before = engine.snapshot();
+        let records = shifted_records(before.dataset(), 3600, 5);
+        let receipt = engine.submit(records).unwrap();
+        assert_eq!(receipt.accepted, 5);
+        assert_eq!((receipt.first_seq, receipt.last_seq), (1, 5));
+        let report = engine.run_epoch().unwrap().expect("non-empty queue");
+        assert_eq!(report.epoch, 1);
+        assert_eq!(report.applied, 5);
+        assert_eq!(report.mode, EpochMode::Incremental);
+        let after = engine.snapshot();
+        assert_eq!(after.epoch(), 1);
+        assert_eq!(after.dataset().len(), before.dataset().len() + 5);
+        // The pinned pre-epoch snapshot is untouched.
+        assert_eq!(before.epoch(), 0);
+        let stats = engine.stats();
+        assert_eq!(stats.total_accepted, 5);
+        assert_eq!(stats.total_applied, 5);
+        assert_eq!(stats.epochs_run, 1);
+        assert_eq!(stats.queue_depth, 0);
+        assert!(!stats.durable);
+        assert!(serde_json::to_string(&stats).is_ok());
+    }
+
+    #[test]
+    fn auto_epoch_runs_at_threshold() {
+        let mut cfg = config(1);
+        cfg.epoch_batch = Some(3);
+        let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
+        let records = shifted_records(engine.snapshot().dataset(), 3600, 4);
+        let receipt = engine.submit(records).unwrap();
+        let report = receipt.epoch.expect("threshold reached, epoch must run");
+        assert_eq!(report.applied, 4);
+        assert_eq!(engine.epoch(), 1);
+        assert_eq!(receipt.queue_depth, 0);
+    }
+
+    #[test]
+    fn metrics_track_submits_epochs_and_wal() {
+        let dir = temp_dir("metrics");
+        let registry = MetricsRegistry::new();
+        let mut cfg = config(1);
+        cfg.wal = Some(WalConfig::new(&dir));
+        cfg.metrics = Some(registry.clone());
+        let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
+        let records = shifted_records(engine.snapshot().dataset(), 3600, 5);
+        engine.submit(records).unwrap();
+        assert_eq!(
+            registry.counter_value("crowdweb_ingest_accepted_total", &[]),
+            Some(5)
+        );
+        assert_eq!(
+            registry.counter_value("crowdweb_ingest_wal_appended_records_total", &[]),
+            Some(5)
+        );
+        let wal_bytes = registry
+            .counter_value("crowdweb_ingest_wal_appended_bytes_total", &[])
+            .unwrap();
+        assert!(wal_bytes > 0, "WAL append must record bytes");
+        assert_eq!(
+            registry.gauge_value("crowdweb_ingest_queue_depth", &[]),
+            Some(5)
+        );
+        engine.run_epoch().unwrap().unwrap();
+        assert_eq!(
+            registry.gauge_value("crowdweb_ingest_queue_depth", &[]),
+            Some(0)
+        );
+        assert_eq!(
+            registry.counter_value("crowdweb_ingest_epochs_total", &[("mode", "incremental")]),
+            Some(1)
+        );
+        let (count, sum) = registry
+            .histogram_stats("crowdweb_ingest_epoch_seconds", &[])
+            .unwrap();
+        assert_eq!(count, 1);
+        assert!(sum >= 0.0);
+        let dirty = registry
+            .gauge_value("crowdweb_ingest_epoch_dirty_users", &[])
+            .unwrap();
+        assert!(dirty > 0, "epoch must recompute the touched users");
+        // The pipeline stages recorded through the same registry.
+        assert!(registry
+            .histogram_stats(
+                crowdweb_obs::STAGE_SECONDS,
+                &[("stage", "prepare"), ("policy", "auto")]
+            )
+            .is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_append_failure_rejects_batch_atomically() {
+        // One shard: the failing append is the only one. Four shards:
+        // the failing shard is the highest-numbered one the batch
+        // routes to, so its lower-numbered siblings' appends have
+        // already landed and must be rolled back.
+        for (shards, n) in [(1usize, 2usize), (4, 16)] {
+            let dir = temp_dir("walfail");
+            let mut cfg = config(shards);
+            cfg.wal = Some(WalConfig::new(&dir));
+            let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+            let records = shifted_records(engine.snapshot().dataset(), 3600, n);
+            let routed: BTreeSet<usize> =
+                records.iter().map(|r| shard_of(r.user, shards)).collect();
+            let failing = *routed.last().unwrap();
+            if shards > 1 {
+                assert!(routed.len() >= 2, "the batch must span several shards");
+            }
+            // Sabotage the failing shard's first append: no directory,
+            // no segment file.
+            let shard_dir = dir.join(format!("shard-{failing}"));
+            std::fs::remove_dir_all(&shard_dir).unwrap();
+            let err = engine.submit(records.clone()).unwrap_err();
+            assert!(matches!(err, IngestError::Wal(_)), "{shards}: {err:?}");
+            assert_eq!(engine.queue_depth(), 0, "failed batch must not enqueue");
+            assert_eq!(
+                engine.stats().wal_segment_bytes,
+                0,
+                "{shards}: a sibling append survived the rejection"
+            );
+            // The sequence numbers were released: a retry reuses the
+            // range safely because nothing of the failed batch survived.
+            std::fs::create_dir_all(&shard_dir).unwrap();
+            let receipt = engine.submit(records.clone()).unwrap();
+            assert_eq!((receipt.first_seq, receipt.last_seq), (1, n as u64));
+            drop(engine);
+            // A reopen applies each record exactly once.
+            let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+            assert_eq!(
+                engine.snapshot().dataset().len(),
+                base().len() + n,
+                "{shards}: a record was lost or applied twice"
+            );
+            assert_eq!(
+                serde_json::to_string(engine.snapshot().crowd()).unwrap(),
+                cold_crowd(&cfg, &records)
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn sharded_epoch_matches_cold_build() {
+        let records = shifted_records(&base(), 3600, 24);
+        let want = cold_crowd(&config(1), &records);
         for shards in [1usize, 4] {
             let engine = ShardedIngestEngine::open(base(), config(shards)).unwrap();
             let receipt = engine.submit(records.clone()).unwrap();
@@ -804,7 +956,7 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(engine.snapshot().crowd()).unwrap(),
                 want,
-                "{shards} shards diverged from the unsharded engine"
+                "{shards} shards diverged from the cold build"
             );
         }
     }
@@ -859,7 +1011,7 @@ mod tests {
 
     #[test]
     fn per_shard_metrics_are_bounded_and_recorded() {
-        let registry = crowdweb_obs::MetricsRegistry::new();
+        let registry = MetricsRegistry::new();
         let mut cfg = config(2);
         cfg.metrics = Some(registry.clone());
         let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
@@ -892,69 +1044,77 @@ mod tests {
 
     #[test]
     fn shard_wal_replay_reaches_same_snapshot() {
-        let dir = temp_dir("replay");
-        let mut cfg = config(4);
-        cfg.wal = Some(WalConfig::new(&dir));
-        let records;
-        let crowd_json;
-        {
-            let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
-            records = shifted_records(engine.snapshot().dataset(), 3600, 12);
-            engine.submit(records.clone()).unwrap();
-            engine.run_epoch().unwrap().unwrap();
-            crowd_json = serde_json::to_string(engine.snapshot().crowd()).unwrap();
-        } // crash
-        let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
-        assert_eq!(engine.epoch(), 0);
-        assert_eq!(
-            serde_json::to_string(engine.snapshot().crowd()).unwrap(),
-            crowd_json,
-            "replayed snapshot diverged from pre-crash snapshot"
-        );
-        // The global sequence continues after the replayed tail.
-        let receipt = engine.submit(records).unwrap();
-        assert_eq!(receipt.first_seq, 13);
-        std::fs::remove_dir_all(&dir).unwrap();
+        for shards in [1usize, 4] {
+            let dir = temp_dir("replay");
+            let mut cfg = config(shards);
+            cfg.wal = Some(WalConfig::new(&dir));
+            let records;
+            let crowd_json;
+            {
+                let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+                records = shifted_records(engine.snapshot().dataset(), 3600, 12);
+                engine.submit(records.clone()).unwrap();
+                engine.run_epoch().unwrap().unwrap();
+                crowd_json = serde_json::to_string(engine.snapshot().crowd()).unwrap();
+                assert!(engine.stats().durable);
+            } // crash
+            let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
+            // Everything replayed into the epoch-0 cold build.
+            assert_eq!(engine.epoch(), 0);
+            assert_eq!(
+                serde_json::to_string(engine.snapshot().crowd()).unwrap(),
+                crowd_json,
+                "{shards}: replayed snapshot diverged from pre-crash snapshot"
+            );
+            // The global sequence continues after the replayed tail.
+            let receipt = engine.submit(records).unwrap();
+            assert_eq!(receipt.first_seq, 13);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
     fn inline_epoch_failure_reports_accepted_range() {
-        let dir = temp_dir("epochfail");
-        let mut cfg = config(4);
-        cfg.wal = Some(WalConfig::new(&dir));
-        cfg.epoch_batch = Some(8);
-        let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
-        let records = shifted_records(engine.snapshot().dataset(), 3600, 8);
-        engine.submit(records[..5].to_vec()).unwrap();
-        // Fail the inline epoch's build, after the batch was accepted.
-        crate::engine::FAIL_NEXT_BUILD.with(|fail| fail.set(true));
-        let err = engine.submit(records[5..].to_vec()).unwrap_err();
-        match err {
-            IngestError::EpochFailed {
-                accepted,
-                first_seq,
-                last_seq,
-                ..
-            } => assert_eq!((accepted, first_seq, last_seq), (3, 6, 8)),
-            other => panic!("expected EpochFailed, got {other:?}"),
+        for shards in [1usize, 4] {
+            let dir = temp_dir("epochfail");
+            let mut cfg = config(shards);
+            cfg.wal = Some(WalConfig::new(&dir));
+            cfg.epoch_batch = Some(8);
+            let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+            let records = shifted_records(engine.snapshot().dataset(), 3600, 8);
+            engine.submit(records[..5].to_vec()).unwrap();
+            // Fail the inline epoch's build, after the batch was accepted.
+            crate::engine::FAIL_NEXT_BUILD.with(|fail| fail.set(true));
+            let err = engine.submit(records[5..].to_vec()).unwrap_err();
+            match err {
+                IngestError::EpochFailed {
+                    accepted,
+                    first_seq,
+                    last_seq,
+                    ..
+                } => assert_eq!((accepted, first_seq, last_seq), (3, 6, 8)),
+                other => panic!("{shards}: expected EpochFailed, got {other:?}"),
+            }
+            // The engine still holds the batch: every shard got its
+            // slice back and the epoch did not advance, so a client
+            // re-submit would double-apply — what the error's contract
+            // warns against.
+            assert_eq!(engine.epoch(), 0);
+            assert_eq!(engine.queue_depth(), 8);
+            let stats = engine.stats();
+            assert_eq!(stats.total_applied, 0);
+            assert!(stats.shards.iter().all(|s| s.watermark == 0));
+            drop(engine);
+            // A reopen applies each accepted record exactly once.
+            let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
+            assert_eq!(engine.snapshot().dataset().len(), base().len() + 8);
+            assert_eq!(
+                serde_json::to_string(engine.snapshot().crowd()).unwrap(),
+                cold_crowd(&cfg, &records)
+            );
+            assert_eq!(engine.submit(records[..1].to_vec()).unwrap().first_seq, 9);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        // Every shard got its slice back and the epoch did not advance.
-        assert_eq!(engine.epoch(), 0);
-        assert_eq!(engine.queue_depth(), 8);
-        let stats = engine.stats();
-        assert_eq!(stats.total_applied, 0);
-        assert!(stats.shards.iter().all(|s| s.watermark == 0));
-        drop(engine);
-        // A reopen applies each accepted record exactly once.
-        let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
-        let merged = base().merge_records(&records).unwrap();
-        assert_eq!(engine.snapshot().dataset().len(), merged.len());
-        assert_eq!(
-            serde_json::to_string(engine.snapshot().crowd()).unwrap(),
-            serde_json::to_string(&cfg.driver().unwrap().run(&merged).unwrap().crowd).unwrap()
-        );
-        assert_eq!(engine.submit(records[..1].to_vec()).unwrap().first_seq, 9);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -995,24 +1155,30 @@ mod tests {
         let dir = temp_dir("migrate");
         let mut cfg = config(2);
         cfg.wal = Some(WalConfig::new(&dir));
-        let records;
-        let crowd_json;
-        {
-            let engine = IngestEngine::open(base(), cfg.clone()).unwrap();
-            records = shifted_records(engine.snapshot().dataset(), 3600, 12);
-            engine.submit(records.clone()).unwrap();
-            engine.run_epoch().unwrap().unwrap();
-            crowd_json = serde_json::to_string(engine.snapshot().crowd()).unwrap();
-        } // crash; switch the deployment to the sharded engine
-        let engine = ShardedIngestEngine::open(base(), cfg).unwrap();
+        // What an earlier, unsharded release left behind: one log in
+        // the WAL root holding every record.
+        let records = shifted_records(&base(), 3600, 12);
+        let entries: Vec<WalEntry> = records
+            .iter()
+            .enumerate()
+            .map(|(i, record)| WalEntry {
+                seq: i as u64 + 1,
+                record: record.clone(),
+            })
+            .collect();
+        let (mut wal, _) = Wal::open(&WalConfig::new(&dir)).unwrap();
+        wal.append(&entries).unwrap();
+        drop(wal);
+        let engine = ShardedIngestEngine::open(base(), cfg.clone()).unwrap();
         assert_eq!(
             serde_json::to_string(engine.snapshot().crowd()).unwrap(),
-            crowd_json,
+            cold_crowd(&cfg, &records),
             "migration from the unsharded layout lost records"
         );
+        let (_, root_files) = stale_sources(&dir, 2).unwrap();
         assert!(
-            !dir.join("checkpoint.jsonl").exists(),
-            "legacy root checkpoint must be folded away"
+            root_files.is_empty(),
+            "legacy root log must be folded away: {root_files:?}"
         );
         assert_eq!(engine.submit(records).unwrap().first_seq, 13);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -109,37 +109,3 @@ pub struct ShardedIngestStats {
     /// Per-shard breakdown, indexed by shard.
     pub shards: Vec<ShardStats>,
 }
-
-/// Point-in-time ingest statistics (`GET /api/ingest/stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct IngestStats {
-    /// Current published epoch.
-    pub epoch: u64,
-    /// Epochs currently retained by the history ring (scrubbable via
-    /// `?epoch=N`).
-    pub history_depth: usize,
-    /// The history ring's retention capacity.
-    pub history_capacity: usize,
-    /// Records waiting in the queue.
-    pub queue_depth: usize,
-    /// The queue's capacity.
-    pub queue_capacity: usize,
-    /// Records accepted since the engine opened.
-    pub total_accepted: u64,
-    /// Records applied to a snapshot since the engine opened.
-    pub total_applied: u64,
-    /// Whether a write-ahead log is configured.
-    pub durable: bool,
-    /// Live WAL segment bytes: every record logged since the log began
-    /// (or since a legacy checkpoint's header).
-    pub wal_segment_bytes: u64,
-    /// Bytes of a legacy checkpoint left by an earlier release, if any.
-    /// Epochs never write one.
-    pub wal_checkpoint_bytes: u64,
-    /// Epochs run since the engine opened.
-    pub epochs_run: u64,
-    /// How many of those fell back to a full pipeline rebuild.
-    pub full_rebuilds: u64,
-    /// The most recent epoch, if any has run.
-    pub last_epoch: Option<EpochReport>,
-}

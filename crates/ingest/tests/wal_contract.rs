@@ -1,19 +1,18 @@
-//! The WAL contract on both engines: segments are the only durable copy
-//! of the records. Epochs and reopens write no checkpoint, a log in the
-//! earlier checkpoint layout replays each record once and is never
-//! rewritten, and replay is identical under any parallelism policy.
+//! The WAL contract: segments are the only durable copy of the records.
+//! Epochs and reopens write no checkpoint, a log in the earlier
+//! checkpoint layout replays each record once and is never rewritten
+//! (an unsharded one in the WAL root is folded into the shards once),
+//! and replay is identical under any parallelism policy.
 
 use crowdweb_dataset::{Dataset, MergeRecord, Timestamp};
 use crowdweb_exec::Parallelism;
 use crowdweb_ingest::{
-    shard_of, IngestConfig, IngestEngine, IngestError, PlatformSnapshot, ShardedIngestEngine,
-    SubmitReceipt, Wal, WalConfig, WalEntry,
+    shard_of, IngestConfig, IngestError, ShardedIngestEngine, Wal, WalConfig, WalEntry,
 };
 use crowdweb_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -53,77 +52,18 @@ fn shifted_records(d: &Dataset, shift_secs: i64, n: usize) -> Vec<MergeRecord> {
         .collect()
 }
 
-/// Which engine a test drives: the plain one, or the sharded one with
-/// this many shards.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Plain,
-    Sharded(usize),
-}
-
-enum Engine {
-    Plain(IngestEngine),
-    Sharded(ShardedIngestEngine),
-}
-
-impl Engine {
-    fn open(kind: Kind, config: IngestConfig) -> Result<Engine, IngestError> {
-        match kind {
-            Kind::Plain => IngestEngine::open(base(), config).map(Engine::Plain),
-            Kind::Sharded(shards) => {
-                ShardedIngestEngine::open(base(), IngestConfig { shards, ..config })
-                    .map(Engine::Sharded)
-            }
-        }
-    }
-
-    fn submit(&self, records: Vec<MergeRecord>) -> SubmitReceipt {
-        match self {
-            Engine::Plain(e) => e.submit(records),
-            Engine::Sharded(e) => e.submit(records),
-        }
-        .unwrap()
-    }
-
-    fn epoch(&self) {
-        match self {
-            Engine::Plain(e) => e.run_epoch(),
-            Engine::Sharded(e) => e.run_epoch(),
-        }
-        .unwrap()
-        .expect("non-empty queue");
-    }
-
-    fn snapshot(&self) -> Arc<PlatformSnapshot> {
-        match self {
-            Engine::Plain(e) => e.snapshot(),
-            Engine::Sharded(e) => e.snapshot(),
-        }
-    }
-
-    /// `(segment, checkpoint)` bytes as the engine's stats report them.
-    fn wal_bytes(&self) -> (u64, u64) {
-        match self {
-            Engine::Plain(e) => {
-                let s = e.stats();
-                (s.wal_segment_bytes, s.wal_checkpoint_bytes)
-            }
-            Engine::Sharded(e) => {
-                let s = e.stats();
-                (s.wal_segment_bytes, s.wal_checkpoint_bytes)
-            }
-        }
-    }
+fn open(shards: usize, config: IngestConfig) -> ShardedIngestEngine {
+    ShardedIngestEngine::open(base(), IngestConfig { shards, ..config }).unwrap()
 }
 
 /// The crowd model of a cold build over the base plus `records`.
 fn cold_crowd(records: &[MergeRecord]) -> String {
     let merged = base().merge_records(records).unwrap();
-    let engine = IngestEngine::open(merged, config()).unwrap();
+    let engine = ShardedIngestEngine::open(merged, config()).unwrap();
     serde_json::to_string(engine.snapshot().crowd()).unwrap()
 }
 
-fn crowd_json(engine: &Engine) -> String {
+fn crowd_json(engine: &ShardedIngestEngine) -> String {
     serde_json::to_string(engine.snapshot().crowd()).unwrap()
 }
 
@@ -148,57 +88,78 @@ fn named(files: &BTreeMap<PathBuf, Vec<u8>>, pred: impl Fn(&str) -> bool) -> Vec
         .collect()
 }
 
+/// `(segment, checkpoint)` bytes as the engine's stats report them.
+fn wal_bytes(engine: &ShardedIngestEngine) -> (u64, u64) {
+    let s = engine.stats();
+    (s.wal_segment_bytes, s.wal_checkpoint_bytes)
+}
+
 #[test]
 fn durable_epochs_write_only_segments() {
-    for kind in [Kind::Plain, Kind::Sharded(3)] {
+    for shards in [1usize, 3] {
         let dir = temp_dir("segments-only");
         let registry = MetricsRegistry::new();
         let mut cfg = config();
         // Small segments, so the run rotates through several.
         cfg.wal = Some(WalConfig::new(&dir).segment_bytes(2048));
-        let engine = Engine::open(
-            kind,
+        let engine = open(
+            shards,
             IngestConfig {
                 metrics: Some(registry.clone()),
                 ..cfg.clone()
             },
-        )
-        .unwrap();
+        );
         let mut all = Vec::new();
         for round in 1..=4 {
             let batch = shifted_records(&base(), 3600 * round, 10);
-            engine.submit(batch.clone());
-            engine.epoch();
+            engine.submit(batch.clone()).unwrap();
+            engine.run_epoch().unwrap().expect("non-empty queue");
             all.extend(batch);
         }
         let files = files_under(&dir);
         assert!(
             named(&files, |n| n.starts_with("checkpoint")).is_empty(),
-            "{kind:?}: an epoch wrote a checkpoint"
+            "{shards} shards: an epoch wrote a checkpoint"
         );
         let segments = named(&files, |n| n.starts_with("seg-") && n.ends_with(".wal"));
-        assert!(segments.len() > 1, "{kind:?}: segments did not rotate");
+        assert!(
+            segments.len() > 1,
+            "{shards} shards: segments did not rotate"
+        );
         let on_disk: u64 = segments.iter().map(|p| files[*p].len() as u64).sum();
         let appended = registry
             .counter_value("crowdweb_ingest_wal_appended_bytes_total", &[])
             .unwrap();
-        assert_eq!(on_disk, appended, "{kind:?}: live segments != appended");
-        assert_eq!(engine.wal_bytes(), (appended, 0), "{kind:?}");
+        assert_eq!(
+            on_disk, appended,
+            "{shards} shards: live segments != appended"
+        );
+        assert_eq!(wal_bytes(&engine), (appended, 0), "{shards} shards");
         drop(engine);
 
-        let reopened = Engine::open(kind, cfg).unwrap();
+        let reopened = open(shards, cfg);
         assert_eq!(
             reopened.snapshot().dataset().len(),
             base().len() + all.len()
         );
-        assert_eq!(crowd_json(&reopened), cold_crowd(&all), "{kind:?}");
+        assert_eq!(crowd_json(&reopened), cold_crowd(&all), "{shards} shards");
         assert_eq!(
             files_under(&dir),
             files,
-            "{kind:?}: the reopen rewrote the log"
+            "{shards} shards: the reopen rewrote the log"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Where a log in the earlier checkpoint layout lives.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// In the WAL root, as the unsharded engine of earlier releases
+    /// wrote it.
+    Root,
+    /// In the `shard-<k>` directories of this many shards.
+    Shards(usize),
 }
 
 #[test]
@@ -208,7 +169,10 @@ fn previous_checkpoint_layout_replays_once_and_is_never_rewritten() {
     // segment it had not yet deleted, with entries on both sides of it.
     const EPOCH_AT: u64 = 8;
     const SEGMENT_FROM: u64 = 5;
-    for kind in [Kind::Plain, Kind::Sharded(2)] {
+    // A root log is opened by 1 and by 2 shards: the open folds it into
+    // the shards once and deletes it.
+    for (layout, shards) in [(Layout::Shards(2), 2), (Layout::Root, 1), (Layout::Root, 2)] {
+        let case = format!("{layout:?} at {shards} shards");
         let dir = temp_dir("legacy-layout");
         let records = shifted_records(&base(), 3600, 12);
         let entries: Vec<WalEntry> = records
@@ -219,9 +183,9 @@ fn previous_checkpoint_layout_replays_once_and_is_never_rewritten() {
                 record: record.clone(),
             })
             .collect();
-        let logs: Vec<(PathBuf, Vec<&WalEntry>)> = match kind {
-            Kind::Plain => vec![(dir.clone(), entries.iter().collect())],
-            Kind::Sharded(n) => (0..n)
+        let logs: Vec<(PathBuf, Vec<&WalEntry>)> = match layout {
+            Layout::Root => vec![(dir.clone(), entries.iter().collect())],
+            Layout::Shards(n) => (0..n)
                 .map(|k| {
                     let routed = entries
                         .iter()
@@ -256,38 +220,60 @@ fn previous_checkpoint_layout_replays_once_and_is_never_rewritten() {
             let (mut wal, _) = Wal::open(&WalConfig::new(log)).unwrap();
             wal.append(&segment).unwrap();
         }
-        assert!(straddles, "{kind:?}: no segment straddles its checkpoint");
+        assert!(straddles, "{case}: no segment straddles its checkpoint");
         let before = files_under(&dir);
 
         let mut cfg = config();
         cfg.wal = Some(WalConfig::new(&dir));
-        let engine = Engine::open(kind, cfg.clone()).unwrap();
+        let engine = open(shards, cfg.clone());
         assert_eq!(
             engine.snapshot().dataset().len(),
             base().len() + records.len(),
-            "{kind:?}: a record was applied twice"
+            "{case}: a record was applied twice"
         );
-        assert_eq!(crowd_json(&engine), cold_crowd(&records), "{kind:?}");
-        assert!(engine.wal_bytes().1 > 0, "{kind:?}: checkpoint not read");
+        assert_eq!(crowd_json(&engine), cold_crowd(&records), "{case}");
+        assert!(wal_bytes(&engine).1 > 0, "{case}: checkpoint not read");
+        // What later epochs and opens must never rewrite: the shard logs
+        // as found, or, for a root log, the shard logs the fold left.
+        let kept = match layout {
+            Layout::Shards(_) => before,
+            Layout::Root => {
+                let root_files: Vec<PathBuf> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .filter(|p| p.is_file())
+                    .collect();
+                assert!(
+                    root_files.is_empty(),
+                    "{case}: the root log was not folded away: {root_files:?}"
+                );
+                files_under(&dir)
+            }
+        };
 
         let more = shifted_records(&base(), 7200, 6);
-        assert_eq!(engine.submit(more.clone()).first_seq, 13, "{kind:?}");
-        engine.epoch();
+        assert_eq!(engine.submit(more.clone()).unwrap().first_seq, 13, "{case}");
+        engine.run_epoch().unwrap().expect("non-empty queue");
         let after = files_under(&dir);
-        for (path, bytes) in &before {
+        for (path, bytes) in &kept {
             assert_eq!(
                 after.get(path),
                 Some(bytes),
-                "{kind:?}: {} changed",
+                "{case}: {} changed",
                 path.display()
             );
         }
         drop(engine);
 
-        let reopened = Engine::open(kind, cfg).unwrap();
+        let reopened = open(shards, cfg);
         let mut all = records.clone();
         all.extend(more);
-        assert_eq!(crowd_json(&reopened), cold_crowd(&all), "{kind:?}");
+        assert_eq!(crowd_json(&reopened), cold_crowd(&all), "{case}");
+        assert_eq!(
+            files_under(&dir),
+            after,
+            "{case}: the reopen rewrote the log"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

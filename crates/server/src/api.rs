@@ -17,8 +17,8 @@
 //!
 //! The server hosts any number of cities, each an isolated platform
 //! (dataset, ingest engine, WAL root, epoch history, upload ring). A
-//! data endpoint therefore has *three* spellings, all registered by
-//! [`city_get`]/[`city_post`] against one handler fn:
+//! data endpoint therefore has *three* spellings, all generated from
+//! its one row in the endpoint table and served by one handler fn:
 //!
 //! - `/api/v1/cities/{city}/...` — the explicit tenant route;
 //! - `/api/v1/...` — the same endpoint on the **default city**;
@@ -159,7 +159,7 @@
 
 use crate::http::{BodyStream, STREAM_CHUNK_BYTES};
 use crate::memo::View;
-use crate::{AppState, CityState, Request, Response, Router, StatusCode};
+use crate::{AppState, CityState, Method, Request, Response, Router, StatusCode};
 use crowdweb_crowd::{CrowdModel, CrowdSnapshot, CrowdSplice};
 use crowdweb_dataset::{MergeRecord, UserId};
 use crowdweb_ingest::{IngestError, PlatformSnapshot};
@@ -175,368 +175,153 @@ use std::sync::Arc;
 /// route, and the legacy `/api/...` alias.
 type CityHandler = fn(&AppState, &CityState, &Request, &HashMap<String, String>) -> Response;
 
-/// Resolves the `{city}` path capture against the registry, counting
-/// the request on success. Unknown ids are a 404 `"unknown-city"`
-/// envelope — they never become metric labels, so the per-city label
-/// stays bounded by the registry.
+/// How one city-scoped endpoint serves a request.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    /// A GET handler.
+    Get(CityHandler),
+    /// A POST handler.
+    Post(CityHandler),
+    /// A tagged crowd view (GET). Its resolver feeds both the handler,
+    /// which serves through the memo and renders on a miss
+    /// ([`serve_view`]), and the route's probe, which answers on the
+    /// event loop only what needs no render ([`probe_view`]).
+    View(ViewResolver),
+}
+
+/// Every city-scoped endpoint by path suffix, in registration order:
+/// the router takes the first match, so this order fixes each
+/// request's scan. [`build_router`] registers each row at its three
+/// [`spellings`].
+const ENDPOINTS: &[(&str, Endpoint)] = &[
+    ("/stats", Endpoint::Get(stats)),
+    ("/users", Endpoint::Get(users)),
+    ("/patterns/:user", Endpoint::Get(patterns)),
+    ("/network/:user", Endpoint::Get(network)),
+    ("/crowd", Endpoint::View(crowd)),
+    ("/crowd/map", Endpoint::View(crowd_map)),
+    ("/crowd/geojson", Endpoint::View(crowd_geojson)),
+    ("/crowd/flows", Endpoint::View(crowd_flows)),
+    ("/crowd/diff", Endpoint::Get(crowd_diff)),
+    ("/epochs", Endpoint::Get(epochs_list)),
+    ("/figures/:id", Endpoint::Get(figure_data)),
+    ("/figures/:id/svg", Endpoint::Get(figure_svg)),
+    ("/upload", Endpoint::Post(upload)),
+    ("/upload/last", Endpoint::Get(upload_last)),
+    ("/uploads", Endpoint::Get(uploads_list)),
+    ("/checkins", Endpoint::Post(checkins_submit)),
+    ("/ingest/epoch", Endpoint::Post(ingest_epoch)),
+    ("/ingest/stats", Endpoint::Get(ingest_stats)),
+    ("/healthz", Endpoint::Get(healthz)),
+    ("/hotspots", Endpoint::Get(hotspots)),
+    ("/crowd/flows/map", Endpoint::Get(crowd_flows_map)),
+    ("/crowd/timeline", Endpoint::Get(crowd_timeline)),
+    ("/heatmap", Endpoint::Get(heatmap)),
+    ("/heatmap/:user", Endpoint::Get(heatmap_user)),
+    ("/entropy/:user", Endpoint::Get(entropy)),
+    ("/groups", Endpoint::Get(groups)),
+    ("/crowd/compare", Endpoint::Get(crowd_compare)),
+    ("/trajectory/:user", Endpoint::Get(trajectory)),
+    ("/tiles/:z/:x/:y", Endpoint::View(tile)),
+    ("/export/checkins", Endpoint::Get(export_checkins)),
+];
+
+/// The three spellings of the endpoint at `suffix`, tenant route first:
+/// `/api/v1/cities/{city}{suffix}` (explicit city), `/api/v1{suffix}`
+/// (default city), and `/api{suffix}` (legacy alias of the default-city
+/// route).
+fn spellings(suffix: &str) -> [String; 3] {
+    [
+        format!("/api/v1/cities/{{city}}{suffix}"),
+        format!("/api/v1{suffix}"),
+        format!("/api{suffix}"),
+    ]
+}
+
+/// The city a request addresses: on the tenant route the registered
+/// city named by the `{city}` capture (`None` for an unknown id), on the
+/// other two spellings the default city.
 fn resolve_city<'a>(
     app: &'a AppState,
     params: &HashMap<String, String>,
-) -> Result<&'a CityState, Response> {
-    let id = params.get("city").map(String::as_str).unwrap_or_default();
-    match app.city(id) {
-        Some(city) => {
-            app.note_city_request(id);
-            Ok(city)
-        }
-        None => Err(error_envelope(
-            StatusCode::NotFound,
-            "unknown-city",
-            &format!("unknown city {id:?}"),
-        )),
+    tenant: bool,
+) -> Option<&'a CityState> {
+    if tenant {
+        app.city(params.get("city")?)
+    } else {
+        Some(app.default_city())
     }
 }
 
-/// Asserts the three spellings of one endpoint stay in lockstep: the
-/// city route is the v1 route with `/cities/{city}` spliced in, and the
-/// legacy alias is the v1 route minus its version segment.
-fn assert_route_triple(city: &str, v1: &str, legacy: &str) {
-    debug_assert_eq!(
-        city,
-        format!("/api/v1/cities/{{city}}{}", &v1["/api/v1".len()..]),
-        "city pattern must be the v1 pattern under /cities/{{city}}"
-    );
-    debug_assert_eq!(
-        legacy,
-        format!("/api{}", &v1["/api/v1".len()..]),
-        "legacy alias must be the v1 pattern minus the version segment"
-    );
-}
-
-/// Registers one GET endpoint at all three spellings:
-/// `/api/v1/cities/{city}/...` (explicit city), `/api/v1/...` (default
-/// city), and `/api/...` (legacy alias of the default-city route). One
-/// handler serves all three; the default-city pair reports the
-/// canonical `/api/v1/...` metrics label, the city route reports its
-/// own `{city}` *pattern* (bounded cardinality — see
-/// [`Router::dispatch`]).
-fn city_get(
-    router: &mut Router<AppState>,
-    city_pattern: &'static str,
-    v1_pattern: &'static str,
-    legacy_alias: &'static str,
-    handler: CityHandler,
-) {
-    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
-    router.get(
-        city_pattern,
-        move |app: &AppState, req, params| match resolve_city(app, params) {
-            Ok(city) => handler(app, city, req, params),
-            Err(resp) => resp,
-        },
-    );
-    router.get_aliased(
-        v1_pattern,
-        legacy_alias,
-        move |app: &AppState, req, params| {
-            let city = app.default_city();
-            app.note_city_request(city.id());
-            handler(app, city, req, params)
-        },
-    );
-}
-
-/// [`city_get`] for POST endpoints.
-fn city_post(
-    router: &mut Router<AppState>,
-    city_pattern: &'static str,
-    v1_pattern: &'static str,
-    legacy_alias: &'static str,
-    handler: CityHandler,
-) {
-    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
-    router.post(
-        city_pattern,
-        move |app: &AppState, req, params| match resolve_city(app, params) {
-            Ok(city) => handler(app, city, req, params),
-            Err(resp) => resp,
-        },
-    );
-    router.post_aliased(
-        v1_pattern,
-        legacy_alias,
-        move |app: &AppState, req, params| {
-            let city = app.default_city();
-            app.note_city_request(city.id());
-            handler(app, city, req, params)
-        },
-    );
-}
-
-/// Registers a tagged crowd view at the three spellings of
-/// [`city_get`]. Both consumers of the view's `resolve` are attached:
-/// the handler serves through the memo and renders on a miss
-/// ([`serve_view`]); the probe answers on the event loop only what
-/// needs no render ([`probe_view`]), and counts the city request only
-/// when it answers, so each request is counted once by whichever path
-/// answers it.
-fn city_view(
-    router: &mut Router<AppState>,
-    city_pattern: &'static str,
-    v1_pattern: &'static str,
-    legacy_alias: &'static str,
-    resolve: ViewResolver,
-) {
-    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
-    let probe =
-        move |app: &AppState, city: &CityState, req: &Request, params: &HashMap<String, String>| {
-            let response = probe_view(city, resolve(city, req, params))?;
-            app.note_city_request(city.id());
-            Some(response)
+/// Registers one endpoint at its three [`spellings`]. The tenant route
+/// reports its own `{city}` *pattern* as its metrics label (bounded
+/// cardinality — see [`Router::dispatch`]); the default-city route and
+/// its legacy alias share one handler and the canonical `/api/v1/...`
+/// label. Every spelling counts the request against the city it
+/// resolves: the handler always, a view's probe only when it answers,
+/// so each request is counted once by whichever path answers it.
+fn register(router: &mut Router<AppState>, suffix: &str, endpoint: Endpoint) {
+    let [tenant_route, v1_route, legacy_alias] = spellings(suffix);
+    for (patterns, tenant) in [
+        (&[tenant_route.as_str()][..], true),
+        (&[v1_route.as_str(), legacy_alias.as_str()][..], false),
+    ] {
+        let serve = move |app: &AppState, req: &Request, params: &HashMap<String, String>| {
+            let Some(city) = resolve_city(app, params, tenant) else {
+                // Unknown ids are never counted, so they never become
+                // metric labels: the per-city label stays bounded by
+                // the registry.
+                let id = params.get("city").map(String::as_str).unwrap_or_default();
+                return error_envelope(
+                    StatusCode::NotFound,
+                    "unknown-city",
+                    &format!("unknown city {id:?}"),
+                );
+            };
+            app.note_city_request(city);
+            match endpoint {
+                Endpoint::Get(handler) | Endpoint::Post(handler) => handler(app, city, req, params),
+                Endpoint::View(resolve) => serve_view(city, resolve(city, req, params)),
+            }
         };
-    router.get_probed(
-        &[city_pattern],
-        move |app: &AppState, req, params| match resolve_city(app, params) {
-            Ok(city) => serve_view(city, resolve(city, req, params)),
-            Err(resp) => resp,
-        },
-        move |app: &AppState, req, params| probe(app, app.city(params.get("city")?)?, req, params),
-    );
-    router.get_probed(
-        &[v1_pattern, legacy_alias],
-        move |app: &AppState, req, params| {
-            let city = app.default_city();
-            app.note_city_request(city.id());
-            serve_view(city, resolve(city, req, params))
-        },
-        move |app: &AppState, req, params| probe(app, app.default_city(), req, params),
-    );
+        match endpoint {
+            Endpoint::Get(_) => {
+                router.add(Method::Get, patterns, serve);
+            }
+            Endpoint::Post(_) => {
+                router.add(Method::Post, patterns, serve);
+            }
+            Endpoint::View(resolve) => {
+                router.get_probed(patterns, serve, move |app, req, params| {
+                    let city = resolve_city(app, params, tenant)?;
+                    let response = probe_view(city, resolve(city, req, params))?;
+                    app.note_city_request(city);
+                    Some(response)
+                })
+            }
+        }
+    }
 }
 
-/// Builds the full CrowdWeb route table: every endpoint at its
-/// canonical `/api/v1/...` pattern (default city), its
-/// `/api/v1/cities/{city}/...` tenant spelling, and its legacy
-/// `/api/...` alias (one handler, shared per endpoint — see the module
-/// docs).
+/// Builds the full CrowdWeb route table: the front-end, the city
+/// listing, the metrics exposition, and every row of the endpoint
+/// table at its three spellings (one handler, shared per endpoint — see
+/// the module docs).
 pub fn build_router() -> Router<AppState> {
     let mut router = Router::new();
     router.get("/", |_, _, _| {
         Response::html(crate::frontend::INDEX_HTML.to_owned())
     });
     router.get_aliased("/api/v1/cities", "/api/cities", cities_list);
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/stats",
-        "/api/v1/stats",
-        "/api/stats",
-        stats,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/users",
-        "/api/v1/users",
-        "/api/users",
-        users,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/patterns/:user",
-        "/api/v1/patterns/:user",
-        "/api/patterns/:user",
-        patterns,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/network/:user",
-        "/api/v1/network/:user",
-        "/api/network/:user",
-        network,
-    );
-    city_view(
-        &mut router,
-        "/api/v1/cities/{city}/crowd",
-        "/api/v1/crowd",
-        "/api/crowd",
-        crowd,
-    );
-    city_view(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/map",
-        "/api/v1/crowd/map",
-        "/api/crowd/map",
-        crowd_map,
-    );
-    city_view(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/geojson",
-        "/api/v1/crowd/geojson",
-        "/api/crowd/geojson",
-        crowd_geojson,
-    );
-    city_view(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/flows",
-        "/api/v1/crowd/flows",
-        "/api/crowd/flows",
-        crowd_flows,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/diff",
-        "/api/v1/crowd/diff",
-        "/api/crowd/diff",
-        crowd_diff,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/epochs",
-        "/api/v1/epochs",
-        "/api/epochs",
-        epochs_list,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/figures/:id",
-        "/api/v1/figures/:id",
-        "/api/figures/:id",
-        figure_data,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/figures/:id/svg",
-        "/api/v1/figures/:id/svg",
-        "/api/figures/:id/svg",
-        figure_svg,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/upload",
-        "/api/v1/upload",
-        "/api/upload",
-        upload,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/upload/last",
-        "/api/v1/upload/last",
-        "/api/upload/last",
-        upload_last,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/uploads",
-        "/api/v1/uploads",
-        "/api/uploads",
-        uploads_list,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/checkins",
-        "/api/v1/checkins",
-        "/api/checkins",
-        checkins_submit,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/ingest/epoch",
-        "/api/v1/ingest/epoch",
-        "/api/ingest/epoch",
-        ingest_epoch,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/ingest/stats",
-        "/api/v1/ingest/stats",
-        "/api/ingest/stats",
-        ingest_stats,
-    );
-    // Metrics are platform-global (one registry serves every city), so
-    // there is no per-city spelling.
-    router.get_aliased("/api/v1/metrics", "/api/metrics", metrics_text);
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/healthz",
-        "/api/v1/healthz",
-        "/api/healthz",
-        healthz,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/hotspots",
-        "/api/v1/hotspots",
-        "/api/hotspots",
-        hotspots,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/flows/map",
-        "/api/v1/crowd/flows/map",
-        "/api/crowd/flows/map",
-        crowd_flows_map,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/timeline",
-        "/api/v1/crowd/timeline",
-        "/api/crowd/timeline",
-        crowd_timeline,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/heatmap",
-        "/api/v1/heatmap",
-        "/api/heatmap",
-        heatmap,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/heatmap/:user",
-        "/api/v1/heatmap/:user",
-        "/api/heatmap/:user",
-        heatmap_user,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/entropy/:user",
-        "/api/v1/entropy/:user",
-        "/api/entropy/:user",
-        entropy,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/groups",
-        "/api/v1/groups",
-        "/api/groups",
-        groups,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/compare",
-        "/api/v1/crowd/compare",
-        "/api/crowd/compare",
-        crowd_compare,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/trajectory/:user",
-        "/api/v1/trajectory/:user",
-        "/api/trajectory/:user",
-        trajectory,
-    );
-    city_view(
-        &mut router,
-        "/api/v1/cities/{city}/tiles/:z/:x/:y",
-        "/api/v1/tiles/:z/:x/:y",
-        "/api/tiles/:z/:x/:y",
-        tile,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/export/checkins",
-        "/api/v1/export/checkins",
-        "/api/export/checkins",
-        export_checkins,
-    );
+    for &(suffix, endpoint) in ENDPOINTS {
+        register(&mut router, suffix, endpoint);
+        if suffix == "/ingest/stats" {
+            // Metrics are platform-global (one registry serves every
+            // city), so there is no per-city spelling. The route keeps
+            // its place in the scan order, after the ingest stats.
+            router.get_aliased("/api/v1/metrics", "/api/metrics", metrics_text);
+        }
+    }
     router
 }
 
@@ -2875,42 +2660,104 @@ pub(crate) mod tests {
         assert_eq!(v["error"]["code"], "bad-upload");
     }
 
+    /// Routes one request and returns its status, its body, and the
+    /// metrics label of the route that answered (`None` when no route
+    /// matched).
+    fn dispatch_labeled(
+        router: &Router<AppState>,
+        state: &AppState,
+        method: &str,
+        path: &str,
+    ) -> (u16, String, Option<String>) {
+        // The uploads and check-ins handlers reject this POST body, and
+        // an epoch over the empty queue is a no-op: no POST changes state.
+        let body = if method == "POST" { "not\ttsv" } else { "" };
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let req = Request::read_from(raw.as_bytes()).unwrap();
+        let (resp, label) = router.dispatch(state, &req);
+        let label = label.map(str::to_owned);
+        let code = resp.status.code();
+        (
+            code,
+            String::from_utf8(resp.into_body_bytes()).unwrap(),
+            label,
+        )
+    }
+
+    /// The GET inputs the spelling tests request: every `Get` and
+    /// `View` row of [`ENDPOINTS`], its captures filled from one
+    /// fixture map, then query-string and error-path cases. Each input
+    /// is `(row suffix, request suffix)`.
+    fn spelled_get_inputs(s: &AppState) -> Vec<(&'static str, String)> {
+        let uid = s.snapshot().prepared().users()[0].raw().to_string();
+        let fixture: HashMap<&str, &str> = HashMap::from([
+            ("user", uid.as_str()),
+            ("id", "fig5"),
+            // The z10 tile over Manhattan.
+            ("z", "10"),
+            ("x", "301"),
+            ("y", "384"),
+        ]);
+        let mut inputs: Vec<(&'static str, String)> = ENDPOINTS
+            .iter()
+            .filter(|(_, endpoint)| !matches!(endpoint, Endpoint::Post(_)))
+            .map(|&(suffix, _)| {
+                let filled: Vec<&str> = suffix
+                    .split('/')
+                    .map(|segment| match segment.strip_prefix(':') {
+                        Some(name) => fixture[name],
+                        None => segment,
+                    })
+                    .collect();
+                (suffix, filled.join("/"))
+            })
+            .collect();
+        for (suffix, request) in [
+            ("/users", "/users?limit=3&offset=1"),
+            ("/crowd", "/crowd?hour=9"),
+            ("/crowd", "/crowd?hour=9&epoch=0"),
+            ("/crowd/geojson", "/crowd/geojson?hour=9"),
+            ("/crowd/flows", "/crowd/flows?from=9&to=10"),
+            ("/crowd/diff", "/crowd/diff?a=0&b=0"),
+            ("/groups", "/groups?threshold=0.5"),
+            // Error paths answer identically as well.
+            ("/patterns/:user", "/patterns/999999"),
+            ("/crowd", "/crowd?hour=99"),
+        ] {
+            inputs.push((suffix, request.to_owned()));
+        }
+        inputs
+    }
+
     /// The legacy `/api/...` aliases answer with byte-identical bodies
     /// to their canonical `/api/v1/...` routes — same handler, zero
-    /// drift.
+    /// drift — for every GET row of the endpoint table, and both
+    /// report the canonical label. POST rows are wired at both
+    /// spellings too (with a body that changes no state).
     #[test]
     fn legacy_aliases_return_identical_bodies() {
         let s = state();
         let r = build_router();
-        let uid = s.snapshot().prepared().users()[0].raw();
-        let patterns_path = format!("patterns/{uid}");
-        let entropy_path = format!("entropy/{uid}");
-        let suffixes: &[&str] = &[
-            "stats",
-            "users?limit=3&offset=1",
-            &patterns_path,
-            &entropy_path,
-            "crowd?hour=9",
-            "crowd?hour=9&epoch=0",
-            "crowd/geojson?hour=9",
-            "crowd/flows?from=9&to=10",
-            "crowd/diff?a=0&b=0",
-            "epochs",
-            "figures/fig5",
-            "uploads",
-            "ingest/stats",
-            "healthz",
-            "hotspots",
-            "groups?threshold=0.5",
-            // Error paths alias identically as well.
-            "patterns/999999",
-            "crowd?hour=99",
-        ];
-        for suffix in suffixes {
-            let (v1_code, v1_body) = get(&r, &s, &format!("/api/v1/{suffix}"));
-            let (legacy_code, legacy_body) = get(&r, &s, &format!("/api/{suffix}"));
-            assert_eq!(v1_code, legacy_code, "{suffix}");
-            assert_eq!(v1_body, legacy_body, "{suffix}");
+        for (suffix, request) in spelled_get_inputs(&s) {
+            let label = Some(format!("/api/v1{suffix}"));
+            let v1 = dispatch_labeled(&r, &s, "GET", &format!("/api/v1{request}"));
+            let legacy = dispatch_labeled(&r, &s, "GET", &format!("/api{request}"));
+            assert_eq!(v1.2, label, "{request}: not served by its row");
+            assert_eq!(v1, legacy, "{request}");
+        }
+        for &(suffix, endpoint) in ENDPOINTS {
+            if let Endpoint::Post(_) = endpoint {
+                let label = Some(format!("/api/v1{suffix}"));
+                let (v1_code, _, v1_label) =
+                    dispatch_labeled(&r, &s, "POST", &format!("/api/v1{suffix}"));
+                let (legacy_code, _, legacy_label) =
+                    dispatch_labeled(&r, &s, "POST", &format!("/api{suffix}"));
+                assert_eq!((v1_code, &v1_label), (legacy_code, &label), "{suffix}");
+                assert_eq!(legacy_label, label, "{suffix}");
+            }
         }
     }
 
@@ -2925,30 +2772,64 @@ pub(crate) mod tests {
     }
 
     /// The explicit default-city spelling answers byte-identically to
-    /// the bare `/api/v1/...` route — one handler serves both.
+    /// the bare `/api/v1/...` route — one handler serves both — for
+    /// every GET row of the endpoint table, and reports its own
+    /// `{city}` pattern as its label. POST rows are wired at the tenant
+    /// spelling too.
     #[test]
     fn default_city_routes_match_the_bare_v1_routes() {
         let s = state();
         let r = build_router();
         let city = s.default_city_id().to_owned();
-        for suffix in [
-            "stats",
-            "users?limit=3&offset=1",
-            "crowd?hour=9",
-            "crowd/geojson?hour=9",
-            "epochs",
-            "healthz",
-            "hotspots",
-            "ingest/stats",
-            // Error paths alias identically as well.
-            "patterns/999999",
-            "crowd?hour=99",
-        ] {
-            let (v1_code, v1_body) = get(&r, &s, &format!("/api/v1/{suffix}"));
-            let (city_code, city_body) = get(&r, &s, &format!("/api/v1/cities/{city}/{suffix}"));
-            assert_eq!(v1_code, city_code, "{suffix}");
-            assert_eq!(v1_body, city_body, "{suffix}");
+        for (suffix, request) in spelled_get_inputs(&s) {
+            let (v1_code, v1_body, _) =
+                dispatch_labeled(&r, &s, "GET", &format!("/api/v1{request}"));
+            let (city_code, city_body, city_label) =
+                dispatch_labeled(&r, &s, "GET", &format!("/api/v1/cities/{city}{request}"));
+            assert_eq!(
+                city_label,
+                Some(format!("/api/v1/cities/{{city}}{suffix}")),
+                "{request}: not served by its row"
+            );
+            assert_eq!(v1_code, city_code, "{request}");
+            assert_eq!(v1_body, city_body, "{request}");
         }
+        for &(suffix, endpoint) in ENDPOINTS {
+            if let Endpoint::Post(_) = endpoint {
+                let (v1_code, _, _) = dispatch_labeled(&r, &s, "POST", &format!("/api/v1{suffix}"));
+                let (city_code, _, city_label) =
+                    dispatch_labeled(&r, &s, "POST", &format!("/api/v1/cities/{city}{suffix}"));
+                assert_eq!(v1_code, city_code, "{suffix}");
+                assert_eq!(
+                    city_label,
+                    Some(format!("/api/v1/cities/{{city}}{suffix}")),
+                    "{suffix}"
+                );
+            }
+        }
+    }
+
+    /// Every `/api/v1...` pattern the router registers is documented
+    /// verbatim (parameter spellings like `:user` included) in the
+    /// README: each endpoint row in its tenant and default-city
+    /// spellings, plus the platform-global city listing and metrics.
+    #[test]
+    fn readme_documents_every_v1_route() {
+        let readme = include_str!("../../../README.md");
+        let mut patterns: Vec<String> = ENDPOINTS
+            .iter()
+            .flat_map(|&(suffix, _)| spellings(suffix))
+            .filter(|pattern| pattern.starts_with("/api/v1"))
+            .collect();
+        patterns.extend(["/api/v1/cities".to_owned(), "/api/v1/metrics".to_owned()]);
+        patterns.sort();
+        patterns.dedup();
+        assert_eq!(patterns.len(), 62);
+        let missing: Vec<&String> = patterns.iter().filter(|p| !readme.contains(*p)).collect();
+        assert!(
+            missing.is_empty(),
+            "README.md does not document registered routes: {missing:?}"
+        );
     }
 
     /// Tenant routes are isolated: each city answers from its own

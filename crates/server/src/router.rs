@@ -91,15 +91,6 @@ impl<S> Router<S> {
         self
     }
 
-    /// Registers a POST route.
-    pub fn post<F>(&mut self, pattern: &str, handler: F) -> &mut Router<S>
-    where
-        F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
-    {
-        self.register(Method::Post, &[pattern], Arc::new(handler), None);
-        self
-    }
-
     /// Registers a GET route at its canonical `pattern` plus a legacy
     /// `alias` spelling. Both dispatch the *same* handler and report
     /// the canonical pattern as the metrics route label, so aliasing
@@ -112,14 +103,13 @@ impl<S> Router<S> {
         self
     }
 
-    /// Registers a POST route at its canonical `pattern` plus a legacy
-    /// `alias`, sharing one handler and one metrics label (see
-    /// [`Router::get_aliased`]).
-    pub fn post_aliased<F>(&mut self, pattern: &str, alias: &str, handler: F) -> &mut Router<S>
+    /// Registers a `method` route under each of `patterns`: the first is
+    /// canonical, the rest alias it as in [`Router::get_aliased`].
+    pub(crate) fn add<F>(&mut self, method: Method, patterns: &[&str], handler: F) -> &mut Router<S>
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
-        self.register(Method::Post, &[pattern, alias], Arc::new(handler), None);
+        self.register(method, patterns, Arc::new(handler), None);
         self
     }
 
@@ -301,7 +291,7 @@ mod tests {
         r.get("/api/patterns/:user", |_, _, p| {
             Response::json(p["user"].clone())
         });
-        r.post("/api/upload", |_, rq, _| {
+        r.add(Method::Post, &["/api/upload"], |_, rq, _| {
             Response::json(format!("{}", rq.body.len()))
         });
         r
@@ -371,9 +361,11 @@ mod tests {
             "/api/patterns/:user",
             |s, _, p| Response::json(format!("{s}:{}", p["user"])),
         );
-        r.post_aliased("/api/v1/upload", "/api/upload", |_, rq, _| {
-            Response::json(format!("{}", rq.body.len()))
-        });
+        r.add(
+            Method::Post,
+            &["/api/v1/upload", "/api/upload"],
+            |_, rq, _| Response::json(format!("{}", rq.body.len())),
+        );
         assert_eq!(r.len(), 4, "each alias pair registers two routes");
         // Both spellings dispatch the same handler...
         let (v1, v1_label) = r.dispatch(&7, &req("GET", "/api/v1/patterns/42"));

@@ -30,12 +30,12 @@ use crate::memo::RenderMemo;
 use crowdweb_dataset::{Dataset, UserId};
 use crowdweb_ingest::{IngestConfig, PlatformSnapshot, ShardedIngestEngine};
 use crowdweb_mobility::{PatternMiner, UserPatterns};
-use crowdweb_obs::MetricsRegistry;
+use crowdweb_obs::{Counter, MetricsRegistry};
 use crowdweb_prep::{LabelScheme, Preprocessor, WindowChoice};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A mined upload from a booth visitor ("if any audience member is
 /// willing to share their check-in history, we can upload it to the
@@ -84,12 +84,16 @@ struct UploadRing {
 /// The ingest queue and WAL are partitioned across user-id-range
 /// shards (`IngestConfig::shards`; 0 = one per available core), so
 /// epoch re-mining fans out per shard while snapshots stay
-/// byte-identical to an unsharded engine.
+/// byte-identical for any shard count.
 pub struct CityState {
     id: String,
     engine: ShardedIngestEngine,
     memo: RenderMemo,
     uploads: RwLock<UploadRing>,
+    /// This city's series of `crowdweb_http_requests_by_city_total`,
+    /// resolved on the first counted request (see
+    /// [`AppState::note_city_request`]).
+    requests: OnceLock<Counter>,
 }
 
 impl std::fmt::Debug for CityState {
@@ -114,6 +118,7 @@ impl CityState {
             engine,
             memo,
             uploads: RwLock::new(UploadRing::default()),
+            requests: OnceLock::new(),
         })
     }
 
@@ -339,17 +344,25 @@ impl AppState {
     }
 
     /// Counts a request against a city's per-city request counter.
-    /// Only registered ids reach this (the handler 404s unknown cities
+    /// Only registered cities reach this (the handler 404s unknown ids
     /// first), so the `city` label's cardinality is bounded by the
-    /// registry size, never by what clients send.
-    pub fn note_city_request(&self, id: &str) {
-        debug_assert!(self.cities.contains_key(id), "label must be registered");
-        self.metrics
-            .counter(
-                "crowdweb_http_requests_by_city_total",
-                "Requests served, by registered city.",
-                &[("city", id)],
-            )
+    /// registry size, never by what clients send. The city's series is
+    /// resolved once, on its first counted request, so a city nobody
+    /// asked for adds no zero-valued series to the exposition.
+    pub fn note_city_request(&self, city: &CityState) {
+        debug_assert!(
+            self.city(city.id())
+                .is_some_and(|registered| std::ptr::eq(registered, city)),
+            "label must be registered"
+        );
+        city.requests
+            .get_or_init(|| {
+                self.metrics.counter(
+                    "crowdweb_http_requests_by_city_total",
+                    "Requests served, by registered city.",
+                    &[("city", city.id())],
+                )
+            })
             .inc();
     }
 
@@ -579,8 +592,8 @@ mod tests {
     #[test]
     fn city_request_counter_labels_by_registered_id() {
         let s = state();
-        s.note_city_request(DEFAULT_CITY);
-        s.note_city_request(DEFAULT_CITY);
+        s.note_city_request(s.default_city());
+        s.note_city_request(s.default_city());
         assert_eq!(
             s.metrics().counter_value(
                 "crowdweb_http_requests_by_city_total",

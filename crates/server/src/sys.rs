@@ -30,9 +30,11 @@
 //! declarations and the handful of call sites that hand the kernel a
 //! pointer derived from a live Rust value.
 //!
-//! On non-Unix targets the same API degrades to a timed park that
-//! reports every registered source ready — the reactor then behaves
-//! like its pre-poll busy-tick ancestor: correct, just not idle-cheap.
+//! Non-Unix targets are not supported: the server needs one of these
+//! readiness APIs, and such a build fails here with a message saying so.
+
+#[cfg(not(unix))]
+compile_error!("crowdweb-server requires a Unix readiness API (epoll(7) or poll(2))");
 
 use std::time::Duration;
 
@@ -67,7 +69,6 @@ pub const MAX_PARK: Duration = Duration::from_secs(1);
 // On Linux the poll backend is compiled but not selected (epoll is),
 // so outside test builds its items are unused by design.
 #[cfg_attr(target_os = "linux", allow(dead_code))]
-#[cfg(unix)]
 mod imp {
     use super::{Interest, Readiness, MAX_PARK};
     use std::io::{self, Read, Write};
@@ -327,103 +328,6 @@ mod imp {
         } else {
             Err(io::Error::last_os_error())
         }
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    use super::{Interest, Readiness, MAX_PARK};
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    /// Degraded fallback: no OS readiness, so every wait is a short
-    /// park that reports everything ready. The reactor then runs as a
-    /// busy tick — correct, just not idle-cheap.
-    pub struct PollSet {
-        tokens: Vec<(u64, Interest)>,
-        listener: bool,
-    }
-
-    impl PollSet {
-        /// An empty set.
-        pub fn new() -> PollSet {
-            PollSet {
-                tokens: Vec::new(),
-                listener: false,
-            }
-        }
-        /// Empties the set for re-registration.
-        pub fn clear(&mut self) {
-            self.tokens.clear();
-            self.listener = false;
-        }
-        /// Registers the accept socket.
-        pub fn register_listener(&mut self, _listener: &TcpListener) {
-            self.listener = true;
-        }
-        /// Registers the self-pipe's read end (a no-op here).
-        pub fn register_waker(&mut self, _waker: &WakeReceiver) {}
-        /// Registers one connection under a caller-chosen token.
-        pub fn register(&mut self, _stream: &TcpStream, token: u64, interest: Interest) {
-            self.tokens.push((token, interest));
-        }
-        /// Parks briefly and reports everything ready.
-        pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-            let park = timeout.unwrap_or(MAX_PARK).min(Duration::from_micros(500));
-            std::thread::sleep(park);
-            Ok(self.tokens.len() + usize::from(self.listener))
-        }
-        /// Always check the listener: there is no readiness signal.
-        pub fn listener_ready(&self) -> bool {
-            self.listener
-        }
-        /// Always drain the (absent) waker.
-        pub fn waker_ready(&self) -> bool {
-            true
-        }
-        /// Every registered token, marked ready per its interest.
-        pub fn ready(&self) -> impl Iterator<Item = (u64, Readiness)> + '_ {
-            self.tokens.iter().map(|&(token, interest)| {
-                (
-                    token,
-                    Readiness {
-                        readable: interest.read,
-                        writable: interest.write,
-                        dead: false,
-                    },
-                )
-            })
-        }
-    }
-
-    /// Inert waker: the short park doubles as the wake signal.
-    pub struct Waker;
-    impl Waker {
-        /// No-op; the fallback loop wakes on its own.
-        pub fn wake(&self) {}
-    }
-
-    /// Inert read end of the (absent) self-pipe.
-    pub struct WakeReceiver;
-    impl WakeReceiver {
-        /// No-op.
-        pub fn drain(&self) {}
-    }
-
-    /// An inert waker pair.
-    pub fn wake_pair() -> io::Result<(Arc<Waker>, WakeReceiver)> {
-        Ok((Arc::new(Waker), WakeReceiver))
-    }
-
-    /// No backlog control without the syscall; the default stands.
-    pub fn boost_listen_backlog(_listener: &TcpListener, _backlog: i32) {}
-
-    /// No receive-buffer control; reported as success so tests that
-    /// merely *try* to provoke deferred writes still run.
-    pub fn set_recv_buffer(_stream: &TcpStream, _bytes: i32) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -720,11 +624,8 @@ mod epoll {
 
 #[cfg(target_os = "linux")]
 pub use epoll::PollSet;
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 pub use imp::PollSet;
-#[cfg(not(unix))]
-pub use imp::{boost_listen_backlog, set_recv_buffer, wake_pair, PollSet, WakeReceiver, Waker};
-#[cfg(unix)]
 pub use imp::{boost_listen_backlog, set_recv_buffer, wake_pair, WakeReceiver, Waker};
 
 /// Current soft limit on open file descriptors, when discoverable

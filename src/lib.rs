@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crowdweb_exec::Parallelism;
     pub use crowdweb_geo::{BoundingBox, CellId, LatLon, MicrocellGrid};
-    pub use crowdweb_ingest::{IngestConfig, IngestEngine, PlatformSnapshot, ShardedIngestEngine};
+    pub use crowdweb_ingest::{IngestConfig, PlatformSnapshot, ShardedIngestEngine};
     pub use crowdweb_mobility::{
         evaluate_predictor, PatternMiner, PlaceGraph, PredictorKind, UserPatterns,
     };

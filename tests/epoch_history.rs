@@ -6,7 +6,7 @@
 //! ever narrow the retained range from the oldest end.
 
 use crowdweb::dataset::MergeRecord;
-use crowdweb::ingest::{IngestConfig, IngestEngine, ShardedIngestEngine};
+use crowdweb::ingest::{IngestConfig, ShardedIngestEngine};
 use crowdweb::prelude::*;
 
 fn config(parallelism: Parallelism) -> IngestConfig {
@@ -69,7 +69,7 @@ fn materialized_epochs_match_cold_rebuilds() {
         let base = SynthConfig::small(71).generate().unwrap();
         let batches = batches(&base, EPOCHS);
 
-        let engine = IngestEngine::open(base.clone(), config(parallelism)).unwrap();
+        let engine = ShardedIngestEngine::open(base.clone(), config(parallelism)).unwrap();
         for batch in &batches {
             engine.submit(batch.clone()).unwrap();
             engine.run_epoch().unwrap().expect("non-empty queue");
@@ -145,7 +145,7 @@ fn eviction_narrows_retention_from_the_oldest_end_only() {
     let batches = batches(&base, EPOCHS as usize);
     let mut cfg = config(Parallelism::Sequential);
     cfg.history_depth = 4;
-    let engine = IngestEngine::open(base, cfg).unwrap();
+    let engine = ShardedIngestEngine::open(base, cfg).unwrap();
 
     // Capture each epoch's model as it is published.
     let mut published = vec![crowd_json(engine.snapshot().crowd())];

@@ -4,7 +4,7 @@
 //! recovery — including a torn final record — reaches the same state.
 
 use crowdweb::dataset::MergeRecord;
-use crowdweb::ingest::{shard_of, IngestConfig, IngestEngine, ShardedIngestEngine, WalConfig};
+use crowdweb::ingest::{shard_of, IngestConfig, ShardedIngestEngine, WalConfig};
 use crowdweb::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,32 +63,6 @@ fn crowd_json(model: &CrowdModel) -> String {
 }
 
 #[test]
-fn epoch_snapshot_is_byte_identical_to_cold_build() {
-    for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let base = SynthConfig::small(71).generate().unwrap();
-        let records = shifted_records(&base, 3600, 40);
-        let merged = base.merge_records(&records).unwrap();
-
-        let engine = IngestEngine::open(base, config(parallelism)).unwrap();
-        engine.submit(records).unwrap();
-        engine.run_epoch().unwrap().expect("non-empty queue");
-        let snap = engine.snapshot();
-
-        let out = cold(&merged, parallelism);
-        assert_eq!(
-            crowd_json(snap.crowd()),
-            crowd_json(&out.crowd),
-            "{parallelism:?} crowd"
-        );
-        assert_eq!(
-            serde_json::to_string(snap.patterns()).unwrap(),
-            serde_json::to_string(&out.patterns).unwrap(),
-            "{parallelism:?} patterns"
-        );
-    }
-}
-
-#[test]
 fn sharded_snapshots_match_unsharded_and_cold_build() {
     // The tentpole determinism criterion: shards(4) == shards(1) ==
     // cold rebuild, byte for byte, under Sequential and Threads(4).
@@ -134,11 +108,11 @@ fn metrics_instrumentation_never_perturbs_epoch_output() {
     let registry = crowdweb::obs::MetricsRegistry::new();
     let mut observed_cfg = config(Parallelism::Threads(4));
     observed_cfg.metrics = Some(registry.clone());
-    let observed = IngestEngine::open(base.clone(), observed_cfg).unwrap();
+    let observed = ShardedIngestEngine::open(base.clone(), observed_cfg).unwrap();
     observed.submit(records.clone()).unwrap();
     observed.run_epoch().unwrap().expect("non-empty queue");
 
-    let plain = IngestEngine::open(base, config(Parallelism::Threads(4))).unwrap();
+    let plain = ShardedIngestEngine::open(base, config(Parallelism::Threads(4))).unwrap();
     plain.submit(records).unwrap();
     plain.run_epoch().unwrap().expect("non-empty queue");
 
@@ -173,7 +147,7 @@ fn chained_epochs_match_one_shot_cold_build() {
     all.extend(second.iter().cloned());
     let merged = base.merge_records(&all).unwrap();
 
-    let engine = IngestEngine::open(base, config(Parallelism::Sequential)).unwrap();
+    let engine = ShardedIngestEngine::open(base, config(Parallelism::Sequential)).unwrap();
     engine.submit(first).unwrap();
     engine.run_epoch().unwrap().expect("first epoch");
     engine.submit(second).unwrap();
@@ -220,14 +194,14 @@ fn wal_replay_after_crash_reaches_cold_build_state() {
 
     let mut cfg = config(Parallelism::Sequential);
     cfg.wal = Some(WalConfig::new(&dir));
-    let engine = IngestEngine::open(base.clone(), cfg.clone()).unwrap();
+    let engine = ShardedIngestEngine::open(base.clone(), cfg.clone()).unwrap();
     engine.submit(applied).unwrap();
     engine.run_epoch().unwrap().expect("first epoch");
     engine.submit(tail).unwrap();
     // Crash before the second epoch: the tail lives only in the WAL.
     drop(engine);
 
-    let engine = IngestEngine::open(base, cfg).unwrap();
+    let engine = ShardedIngestEngine::open(base, cfg).unwrap();
     let out = cold(&merged, Parallelism::Sequential);
     assert_eq!(
         crowd_json(engine.snapshot().crowd()),
@@ -302,12 +276,13 @@ fn torn_wal_tail_recovers_the_intact_prefix() {
     let base = SynthConfig::small(74).generate().unwrap();
     let records = shifted_records(&base, 3600, 12);
     let mut cfg = config(Parallelism::Sequential);
+    cfg.shards = 1;
     cfg.wal = Some(WalConfig::new(&dir));
-    let engine = IngestEngine::open(base.clone(), cfg.clone()).unwrap();
+    let engine = ShardedIngestEngine::open(base.clone(), cfg.clone()).unwrap();
     engine.submit(records.clone()).unwrap();
     // Crash before any epoch, then tear the final record's frame.
     drop(engine);
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("shard-0"))
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -320,7 +295,7 @@ fn torn_wal_tail_recovers_the_intact_prefix() {
     f.set_len(len - 3).unwrap();
     drop(f);
 
-    let engine = IngestEngine::open(base.clone(), cfg).unwrap();
+    let engine = ShardedIngestEngine::open(base.clone(), cfg).unwrap();
     let merged = base.merge_records(&records[..records.len() - 1]).unwrap();
     let out = cold(&merged, Parallelism::Sequential);
     assert_eq!(
