@@ -1,7 +1,7 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! Implements the subset CrowdWeb uses — [`Mutex`], [`RwLock`], and
-//! [`Condvar`]-free guards with the *non-poisoning* API shape of the
+//! `Condvar`-free guards with the *non-poisoning* API shape of the
 //! real crate — on top of `std::sync`. A poisoned std lock (a panic
 //! while held) is recovered by taking the inner value, matching
 //! parking_lot's "panics don't poison" semantics closely enough for

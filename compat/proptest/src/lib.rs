@@ -198,7 +198,7 @@ impl_any! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length bound for [`vec`]; built from a range or a fixed size.
+    /// Length bound for [`vec()`]; built from a range or a fixed size.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -241,7 +241,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -361,6 +361,17 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+impl Deserialize for std::sync::Arc<str> {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        String::from_content(c).map(std::sync::Arc::from)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_content(&self) -> Content {
         match self {

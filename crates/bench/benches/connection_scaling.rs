@@ -1,6 +1,8 @@
 //! **Server S2** — connection scaling.
 //!
-//! Two experiments, one TSV (`out/connection_scaling.tsv`):
+//! Two experiments, one TSV (`out/connection_scaling.tsv`; the
+//! `CROWDWEB_SCALE_ONLY=1` spot check writes its row to
+//! `target/release/connection_scaling.tsv` instead):
 //!
 //! **S2a (slow-drip)** — the evented reactor vs the old
 //! thread-per-connection pool under slowloris load. A legacy
@@ -56,17 +58,27 @@ fn main() {
         "reactor first-response stays flat vs drips; 10k kept-alive conns, sub-ms p50 dispatch, idle CPU ~0",
     );
     let mut rows: Vec<String> = Vec::new();
-    if std::env::var_os("CROWDWEB_SCALE_ONLY").is_none() {
+    let scale_only = std::env::var_os("CROWDWEB_SCALE_ONLY").is_some();
+    if !scale_only {
         drip_section(&mut rows);
     }
     keepalive_section(&mut rows);
-    std::fs::create_dir_all("out").unwrap();
-    std::fs::write(
-        "out/connection_scaling.tsv",
-        format!("{}\n", rows.join("\n")),
-    )
-    .unwrap();
-    println!("wrote out/connection_scaling.tsv");
+    // The spot check is a gate, not a record: its row goes beside the
+    // bench binary's profile directory (`target/release/`), so a gate
+    // run never rewrites the committed S2 table.
+    let dir = if scale_only {
+        let exe = std::env::current_exe().unwrap();
+        exe.parent()
+            .and_then(std::path::Path::parent)
+            .expect("bench binaries live in <target>/<profile>/deps")
+            .to_path_buf()
+    } else {
+        std::path::PathBuf::from("out")
+    };
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("connection_scaling.tsv");
+    std::fs::write(&path, format!("{}\n", rows.join("\n"))).unwrap();
+    println!("wrote {}", path.display());
 }
 
 // ---------------------------------------------------------------- child

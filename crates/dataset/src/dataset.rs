@@ -1,8 +1,13 @@
 //! The indexed dataset container.
 
-use crate::{CheckIn, DatasetError, Taxonomy, Timestamp, UserId, Venue, VenueId};
+use crate::time::days_in_month;
+use crate::{
+    CheckIn, CivilDate, DatasetError, MonthKey, Taxonomy, Timestamp, UserId, Venue, VenueId,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Incremental constructor for a [`Dataset`] (C-BUILDER).
@@ -63,14 +68,9 @@ impl DatasetBuilder {
     /// - [`DatasetError::UnknownVenue`] if a check-in references a venue
     ///   that was never added.
     pub fn build(self) -> Result<Dataset, DatasetError> {
-        let mut venue_index: HashMap<VenueId, usize> = HashMap::with_capacity(self.venues.len());
-        for (i, v) in self.venues.iter().enumerate() {
-            if venue_index.insert(v.id(), i).is_some() {
-                return Err(DatasetError::DuplicateVenue(v.id()));
-            }
-        }
+        let venue_index = VenueIndex::of(&self.venues)?;
         for c in &self.checkins {
-            if !venue_index.contains_key(&c.venue()) {
+            if venue_index.position(c.venue()).is_none() {
                 return Err(DatasetError::UnknownVenue {
                     venue: c.venue(),
                     user: c.user(),
@@ -79,24 +79,144 @@ impl DatasetBuilder {
         }
         let mut checkins = self.checkins;
         checkins.sort_by_key(|c| (c.user(), c.time()));
-
-        // Contiguous per-user ranges over the sorted check-in vector.
-        let mut user_ranges: Vec<(UserId, Range<usize>)> = Vec::new();
-        let mut start = 0usize;
-        for i in 1..=checkins.len() {
-            if i == checkins.len() || checkins[i].user() != checkins[start].user() {
-                user_ranges.push((checkins[start].user(), start..i));
-                start = i;
-            }
-        }
-
+        let user_ranges = user_ranges(&checkins);
+        let calendar = LocalCalendar::of(&checkins);
         Ok(Dataset {
             taxonomy: self.taxonomy,
             venues: self.venues,
             venue_index,
             checkins,
             user_ranges,
+            calendar,
         })
+    }
+}
+
+/// Contiguous per-user ranges over check-ins sorted by `(user, time)`.
+fn user_ranges(checkins: &[CheckIn]) -> Vec<(UserId, Range<usize>)> {
+    let mut ranges = Vec::new();
+    let mut start = 0usize;
+    for i in 1..=checkins.len() {
+        if i == checkins.len() || checkins[i].user() != checkins[start].user() {
+            ranges.push((checkins[start].user(), start..i));
+            start = i;
+        }
+    }
+    ranges
+}
+
+/// The venue lookups a [`Dataset`] derives from its venue list: position
+/// by id, position by name hash (what [`Dataset::merge_records`]
+/// resolves venue keys through), and the next unused raw id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VenueIndex {
+    by_id: HashMap<VenueId, usize>,
+    /// Position of the *last* venue whose name has this hash. Two names
+    /// may share a hash; [`VenueIndex::resolve`] checks the name and
+    /// falls back to a scan, so a collision costs time, never a wrong id.
+    by_key: HashMap<u64, usize>,
+    next_raw: u32,
+}
+
+impl VenueIndex {
+    fn of(venues: &[Venue]) -> Result<VenueIndex, DatasetError> {
+        let mut index = VenueIndex {
+            by_id: HashMap::with_capacity(venues.len()),
+            by_key: HashMap::with_capacity(venues.len()),
+            next_raw: 0,
+        };
+        for (position, venue) in venues.iter().enumerate() {
+            if !index.insert(venue, position) {
+                return Err(DatasetError::DuplicateVenue(venue.id()));
+            }
+        }
+        Ok(index)
+    }
+
+    /// Indexes the venue at `position`, the end of the venue list so
+    /// far. Returns `false` if its id was already indexed (the new
+    /// position wins).
+    pub(crate) fn insert(&mut self, venue: &Venue, position: usize) -> bool {
+        self.by_key.insert(key_hash(venue.name()), position);
+        self.next_raw = self.next_raw.max(venue.id().raw().saturating_add(1));
+        self.by_id.insert(venue.id(), position).is_none()
+    }
+
+    fn position(&self, id: VenueId) -> Option<usize> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// The id of the last venue in `venues` named `key`, if any.
+    pub(crate) fn resolve(&self, venues: &[Venue], key: &str) -> Option<VenueId> {
+        let &position = self.by_key.get(&key_hash(key))?;
+        if venues[position].name() == key {
+            return Some(venues[position].id());
+        }
+        venues.iter().rev().find(|v| v.name() == key).map(Venue::id)
+    }
+
+    /// The raw id the next new venue receives.
+    pub(crate) fn next_raw(&self) -> u32 {
+        self.next_raw
+    }
+}
+
+fn key_hash(key: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Check-in counts per local calendar month and the first and last
+/// local day, kept beside the check-ins so window selection and the
+/// statistics read them instead of walking every record.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct LocalCalendar {
+    months: BTreeMap<MonthKey, usize>,
+    /// First and last local day, in days since 1970-01-01.
+    days: Option<(i64, i64)>,
+}
+
+impl LocalCalendar {
+    fn of(checkins: &[CheckIn]) -> LocalCalendar {
+        let mut calendar = LocalCalendar::default();
+        calendar.add(checkins);
+        calendar
+    }
+
+    /// Counts `checkins`. A run of check-ins in one month touches the
+    /// month map once, so sorted input costs one date conversion per
+    /// run instead of one per record.
+    pub(crate) fn add(&mut self, checkins: &[CheckIn]) {
+        // (month, its first and last day, records counted but not yet added)
+        let mut run: Option<(MonthKey, i64, i64, usize)> = None;
+        for c in checkins {
+            let day = (c.time().unix_seconds() + i64::from(c.tz_offset_minutes()) * 60)
+                .div_euclid(86_400);
+            self.days = Some(match self.days {
+                Some((lo, hi)) => (lo.min(day), hi.max(day)),
+                None => (day, day),
+            });
+            match &mut run {
+                Some((_, first, last, n)) if (*first..=*last).contains(&day) => *n += 1,
+                _ => {
+                    if let Some((month, _, _, n)) = run {
+                        *self.months.entry(month).or_insert(0) += n;
+                    }
+                    let date = CivilDate::from_epoch_days(day);
+                    let first = day - i64::from(date.day()) + 1;
+                    let last = first + i64::from(days_in_month(date.year(), date.month())) - 1;
+                    let month = MonthKey {
+                        year: date.year(),
+                        month: date.month(),
+                    };
+                    run = Some((month, first, last, 1));
+                }
+            }
+        }
+        if let Some((month, _, _, n)) = run {
+            *self.months.entry(month).or_insert(0) += n;
+        }
     }
 }
 
@@ -108,13 +228,15 @@ impl DatasetBuilder {
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
-    taxonomy: Taxonomy,
-    venues: Vec<Venue>,
+    pub(crate) taxonomy: Taxonomy,
+    pub(crate) venues: Vec<Venue>,
     #[serde(skip)]
-    venue_index: HashMap<VenueId, usize>,
-    checkins: Vec<CheckIn>,
+    pub(crate) venue_index: VenueIndex,
+    pub(crate) checkins: Vec<CheckIn>,
     #[serde(skip)]
-    user_ranges: Vec<(UserId, Range<usize>)>,
+    pub(crate) user_ranges: Vec<(UserId, Range<usize>)>,
+    #[serde(skip)]
+    pub(crate) calendar: LocalCalendar,
 }
 
 impl Dataset {
@@ -160,7 +282,7 @@ impl Dataset {
 
     /// The venue with the given id, if present.
     pub fn venue(&self, id: VenueId) -> Option<&Venue> {
-        self.venue_index.get(&id).map(|&i| &self.venues[i])
+        self.venue_index.position(id).map(|i| &self.venues[i])
     }
 
     /// Iterator over distinct user ids in ascending order.
@@ -184,28 +306,39 @@ impl Dataset {
         Some((min, max))
     }
 
+    /// Check-in counts per local calendar month, kept current by
+    /// [`DatasetBuilder::build`] and [`Dataset::merge_records`] (no walk
+    /// over the check-ins); public through
+    /// [`DatasetStats::monthly_counts`](crate::DatasetStats::monthly_counts).
+    pub(crate) fn monthly_counts(&self) -> &BTreeMap<MonthKey, usize> {
+        &self.calendar.months
+    }
+
+    /// The first and last local calendar date with a check-in, or
+    /// `None` if empty. Kept current by [`DatasetBuilder::build`] and
+    /// [`Dataset::merge_records`], so reading it walks no check-in.
+    pub fn local_date_range(&self) -> Option<(CivilDate, CivilDate)> {
+        self.calendar.days.map(|(lo, hi)| {
+            (
+                CivilDate::from_epoch_days(lo),
+                CivilDate::from_epoch_days(hi),
+            )
+        })
+    }
+
     /// Rebuilds the skipped indices after `serde` deserialization.
     ///
     /// `Dataset` serializes only its data (venues, check-ins, taxonomy);
     /// call this on the deserialized value before using lookups.
     pub fn rebuild_index(&mut self) {
         self.taxonomy.rebuild_index();
-        self.venue_index = self
-            .venues
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.id(), i))
-            .collect();
-        self.checkins.sort_by_key(|c| (c.user(), c.time()));
-        self.user_ranges.clear();
-        let mut start = 0usize;
-        for i in 1..=self.checkins.len() {
-            if i == self.checkins.len() || self.checkins[i].user() != self.checkins[start].user() {
-                self.user_ranges
-                    .push((self.checkins[start].user(), start..i));
-                start = i;
-            }
+        self.venue_index = VenueIndex::default();
+        for (position, venue) in self.venues.iter().enumerate() {
+            self.venue_index.insert(venue, position);
         }
+        self.checkins.sort_by_key(|c| (c.user(), c.time()));
+        self.user_ranges = user_ranges(&self.checkins);
+        self.calendar = LocalCalendar::of(&self.checkins);
     }
 }
 
@@ -315,13 +448,15 @@ mod tests {
         let mut copy = Dataset {
             taxonomy: d.taxonomy.clone(),
             venues: d.venues.clone(),
-            venue_index: HashMap::new(),
+            venue_index: VenueIndex::default(),
             checkins: d.checkins.clone(),
             user_ranges: Vec::new(),
+            calendar: LocalCalendar::default(),
         };
         assert!(copy.venue(VenueId::new(1)).is_none());
         copy.rebuild_index();
         assert!(copy.venue(VenueId::new(1)).is_some());
         assert_eq!(copy.checkins_of(UserId::new(1)).len(), 2);
+        assert_eq!(copy.calendar, d.calendar);
     }
 }

@@ -88,15 +88,33 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Computes statistics over a dataset.
+    /// Computes statistics over a dataset in O(users): the monthly
+    /// counts and the day span come from what the dataset keeps beside
+    /// its check-ins (see [`Dataset::local_date_range`]), not from a
+    /// walk over every check-in.
     pub fn compute(dataset: &Dataset) -> DatasetStats {
-        let total = dataset.len();
-        let users = dataset.user_count();
         let mut per_user: Vec<usize> = dataset
-            .user_ids()
-            .map(|u| dataset.checkins_of(u).len())
+            .user_ranges
+            .iter()
+            .map(|(_, range)| range.len())
             .collect();
         per_user.sort_unstable();
+        let days = dataset
+            .local_date_range()
+            .map_or(0, |(first, last)| first.days_until(last) + 1);
+        DatasetStats::from_parts(dataset, &per_user, days, dataset.monthly_counts().clone())
+    }
+
+    /// The statistics from sorted per-user record counts, the day span
+    /// and the monthly counts.
+    fn from_parts(
+        dataset: &Dataset,
+        per_user: &[usize],
+        days: i64,
+        monthly_counts: BTreeMap<MonthKey, usize>,
+    ) -> DatasetStats {
+        let total = dataset.len();
+        let users = dataset.user_count();
         let mean = if users == 0 {
             0.0
         } else {
@@ -109,23 +127,11 @@ impl DatasetStats {
         } else {
             (per_user[per_user.len() / 2 - 1] + per_user[per_user.len() / 2]) as f64 / 2.0
         };
-
-        let mut monthly: BTreeMap<MonthKey, usize> = BTreeMap::new();
-        let mut min_day = i64::MAX;
-        let mut max_day = i64::MIN;
-        for c in dataset.checkins() {
-            *monthly.entry(MonthKey::of(c)).or_insert(0) += 1;
-            let day = c.local_date().to_epoch_days();
-            min_day = min_day.min(day);
-            max_day = max_day.max(day);
-        }
-        let days = if total == 0 { 0 } else { max_day - min_day + 1 };
         let per_user_per_day = if users == 0 || days == 0 {
             0.0
         } else {
             mean / days as f64
         };
-
         DatasetStats {
             total_checkins: total,
             user_count: users,
@@ -134,7 +140,7 @@ impl DatasetStats {
             median_records_per_user: median,
             collection_days: days,
             records_per_user_per_day: per_user_per_day,
-            monthly_counts: monthly,
+            monthly_counts,
         }
     }
 
@@ -179,10 +185,36 @@ impl DatasetStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{CategoryId, Timestamp, UserId, Venue, VenueId};
     use crowdweb_geo::LatLon;
+
+    /// The statistics as computed before the dataset kept its calendar:
+    /// a walk over every check-in. The reference the kept counts must
+    /// equal.
+    pub(crate) fn compute_by_walk(dataset: &Dataset) -> DatasetStats {
+        let mut per_user: Vec<usize> = dataset
+            .user_ids()
+            .map(|u| dataset.checkins_of(u).len())
+            .collect();
+        per_user.sort_unstable();
+        let mut monthly: BTreeMap<MonthKey, usize> = BTreeMap::new();
+        let mut min_day = i64::MAX;
+        let mut max_day = i64::MIN;
+        for c in dataset.checkins() {
+            *monthly.entry(MonthKey::of(c)).or_insert(0) += 1;
+            let day = c.local_date().to_epoch_days();
+            min_day = min_day.min(day);
+            max_day = max_day.max(day);
+        }
+        let days = if dataset.is_empty() {
+            0
+        } else {
+            max_day - min_day + 1
+        };
+        DatasetStats::from_parts(dataset, &per_user, days, monthly)
+    }
 
     fn dataset_with(checkin_times: &[(u32, i64)]) -> Dataset {
         let mut b = Dataset::builder();
@@ -207,6 +239,19 @@ mod tests {
         Timestamp::from_civil(y, m, d, 12, 0, 0)
             .unwrap()
             .unix_seconds()
+    }
+
+    #[test]
+    fn kept_counts_equal_a_walk() {
+        let d = dataset_with(&[
+            (1, secs(2012, 4, 30)),
+            (1, secs(2012, 5, 1)),
+            (2, secs(2012, 7, 15)),
+            (3, secs(2013, 1, 2)),
+        ]);
+        assert_eq!(DatasetStats::compute(&d), compute_by_walk(&d));
+        let empty = Dataset::builder().build().unwrap();
+        assert_eq!(DatasetStats::compute(&empty), compute_by_walk(&empty));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::{CategoryId, VenueId};
 use crowdweb_geo::LatLon;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A check-in location: a named place with a coordinate and a category.
 ///
@@ -27,7 +28,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Venue {
     id: VenueId,
-    name: String,
+    /// Shared, so copying a venue list (every merge copies the
+    /// dataset's) costs no allocation per venue.
+    name: Arc<str>,
     location: LatLon,
     category: CategoryId,
 }
@@ -37,7 +40,7 @@ impl Venue {
     pub fn new(id: VenueId, name: &str, location: LatLon, category: CategoryId) -> Venue {
         Venue {
             id,
-            name: name.to_owned(),
+            name: Arc::from(name),
             location,
             category,
         }

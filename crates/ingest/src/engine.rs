@@ -3,7 +3,7 @@
 //! out.
 
 use crate::shard::mine_sharded;
-use crate::{EpochMode, IngestError, PlatformSnapshot, WalConfig, WalEntry};
+use crate::{EpochMode, EpochStages, IngestError, PlatformSnapshot, WalConfig, WalEntry};
 use crowdweb_crowd::{CrowdBuilder, CrowdDelta, PipelineDriver, TimeWindows};
 use crowdweb_dataset::{MergeRecord, UserId};
 use crowdweb_exec::Parallelism;
@@ -14,6 +14,7 @@ use crowdweb_obs::{
 };
 use crowdweb_prep::{PrepUpdate, Preprocessor};
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Everything the engine needs to build and rebuild snapshots.
 #[derive(Debug, Clone)]
@@ -204,6 +205,21 @@ thread_local! {
     pub(crate) static FAIL_NEXT_BUILD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// A built but not yet published epoch.
+pub(crate) struct BuiltEpoch {
+    pub(crate) snapshot: PlatformSnapshot,
+    pub(crate) mode: EpochMode,
+    pub(crate) delta: CrowdDelta,
+    /// The merge, prepare, mine and crowd stages; the caller fills in
+    /// history and publish.
+    pub(crate) stages: EpochStages,
+}
+
+/// Microseconds since `started`, saturating.
+pub(crate) fn micros_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// Builds the epoch-`previous.epoch() + 1` snapshot from `previous`
 /// plus a drained batch. Dirty users (those in the batch) are
 /// re-prepared, re-mined across `shards` partitions
@@ -215,21 +231,27 @@ pub(crate) fn build_next_snapshot(
     metrics: Option<&IngestMetrics>,
     previous: &PlatformSnapshot,
     batch: &[WalEntry],
-) -> Result<(PlatformSnapshot, EpochMode, CrowdDelta), IngestError> {
+) -> Result<BuiltEpoch, IngestError> {
     #[cfg(test)]
     if FAIL_NEXT_BUILD.with(|fail| fail.replace(false)) {
         return Err(IngestError::Corrupt("injected build failure".to_owned()));
     }
+    let mut stages = EpochStages::default();
+    let started = Instant::now();
     let records: Vec<MergeRecord> = batch.iter().map(|e| e.record.clone()).collect();
     let dirty: BTreeSet<UserId> = records.iter().map(|r| r.user).collect();
     let merged = previous.dataset().merge_records(&records)?;
+    stages.merge_micros = micros_since(started);
     let epoch = previous.epoch() + 1;
-    match config
+    let started = Instant::now();
+    let update = config
         .preprocessor
         .update(previous.prepared(), &merged, &dirty)
-        .map_err(crowdweb_crowd::PipelineError::Prep)?
-    {
+        .map_err(crowdweb_crowd::PipelineError::Prep)?;
+    stages.prepare_micros = micros_since(started);
+    match update {
         PrepUpdate::Incremental(prepared) => {
+            let started = Instant::now();
             let patterns = mine_sharded(
                 config,
                 shards,
@@ -238,11 +260,14 @@ pub(crate) fn build_next_snapshot(
                 previous.patterns(),
                 &dirty,
             )?;
+            stages.mine_micros = micros_since(started);
+            let started = Instant::now();
             let (crowd, delta) = CrowdBuilder::new(&merged, &prepared)
                 .windows(config.windows.clone())
                 .parallelism(config.parallelism)
                 .update(previous.crowd(), &patterns, &dirty)
                 .map_err(crowdweb_crowd::PipelineError::Crowd)?;
+            stages.crowd_micros = micros_since(started);
             let snapshot = PlatformSnapshot::new(
                 epoch,
                 merged,
@@ -252,10 +277,17 @@ pub(crate) fn build_next_snapshot(
                 crowd,
                 config.min_support,
             );
-            Ok((snapshot, EpochMode::Incremental, delta))
+            Ok(BuiltEpoch {
+                snapshot,
+                mode: EpochMode::Incremental,
+                delta,
+                stages,
+            })
         }
         PrepUpdate::FullRebuild => {
+            let started = Instant::now();
             let out = config.driver()?.run(&merged)?;
+            stages.prepare_micros += micros_since(started);
             let mut cells: BTreeSet<(usize, _)> = BTreeSet::new();
             for p in previous.crowd().placements() {
                 cells.insert((p.window, p.cell));
@@ -278,7 +310,12 @@ pub(crate) fn build_next_snapshot(
                 out.crowd,
                 config.min_support,
             );
-            Ok((snapshot, EpochMode::FullRebuild, delta))
+            Ok(BuiltEpoch {
+                snapshot,
+                mode: EpochMode::FullRebuild,
+                delta,
+                stages,
+            })
         }
     }
 }

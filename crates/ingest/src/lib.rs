@@ -16,16 +16,19 @@
 //!    cost tracks the new records, not the history. A torn final
 //!    record is truncated away on replay.
 //! 3. **Epoch snapshots** ([`engine`]) — [`ShardedIngestEngine::run_epoch`]
-//!    drains the queue, merges the batch into the dataset, re-runs the
-//!    pipeline *incrementally* (only users whose sequences changed are
-//!    re-prepared, re-mined, and re-placed; the crowd model is spliced
-//!    per user), and atomically publishes an immutable
+//!    drains the queue, merges the batch into the dataset (O(batch)
+//!    plus one copy of the check-ins), re-runs the pipeline
+//!    *incrementally* (only users whose sequences changed are
+//!    re-prepared, re-mined, and re-placed; the sequence database and
+//!    the crowd model are spliced per user), and atomically publishes
+//!    an immutable
 //!    [`Arc<PlatformSnapshot>`](PlatformSnapshot) via
 //!    [`crowdweb_exec::EpochCell`] — readers never block behind
 //!    ingestion and never observe a half-updated pipeline.
 //! 4. **Observability** ([`stats`]) — [`ShardedIngestEngine::stats`]
 //!    reports queue depth, WAL bytes, epoch latency, and re-mine
-//!    counts, engine-wide and per shard.
+//!    counts, engine-wide and per shard; each [`EpochReport`] splits
+//!    its epoch's time by stage ([`EpochStages`]).
 //! 5. **Sharding** ([`shard`]) — [`ShardedIngestEngine`] partitions
 //!    the queue, the WAL, and the per-epoch dirty set across
 //!    `hash(user) % N` shards so epoch re-mining fans out per shard,
@@ -94,5 +97,7 @@ pub use error::IngestError;
 pub use history::{CrowdHistory, EpochInfo, EpochRecord, EpochRepr};
 pub use shard::{effective_shards, shard_of, ShardedIngestEngine, MAX_SHARDS};
 pub use snapshot::PlatformSnapshot;
-pub use stats::{EpochMode, EpochReport, ShardStats, ShardedIngestStats, SubmitReceipt};
+pub use stats::{
+    EpochMode, EpochReport, EpochStages, ShardStats, ShardedIngestStats, SubmitReceipt,
+};
 pub use wal::{Wal, WalConfig, WalEntry, WalRecovery};

@@ -34,7 +34,7 @@
 //! replay. Only a fold of stale sources (see [`ShardedIngestEngine::open`])
 //! writes a checkpoint.
 
-use crate::engine::{build_next_snapshot, IngestConfig, IngestMetrics};
+use crate::engine::{build_next_snapshot, micros_since, BuiltEpoch, IngestConfig, IngestMetrics};
 use crate::{
     CrowdHistory, EpochInfo, EpochMode, EpochReport, IngestError, PlatformSnapshot, ShardStats,
     ShardedIngestStats, SubmitReceipt, Wal, WalConfig, WalEntry,
@@ -213,7 +213,11 @@ impl ShardedIngestEngine {
         }
 
         let records: Vec<MergeRecord> = entries.into_iter().map(|e| e.record).collect();
-        let merged = base.merge_records(&records)?;
+        let merged = if records.is_empty() {
+            base
+        } else {
+            base.merge_records(&records)?
+        };
         let out = config.driver()?.run(&merged)?;
         let snapshot = PlatformSnapshot::new(
             0,
@@ -489,7 +493,12 @@ impl ShardedIngestEngine {
             &previous,
             &batch,
         );
-        let (snapshot, mode, delta) = match result {
+        let BuiltEpoch {
+            snapshot,
+            mode,
+            delta,
+            mut stages,
+        } = match result {
             Ok(next) => next,
             Err(e) => {
                 // Put each slice back at the front of its own shard,
@@ -511,17 +520,12 @@ impl ShardedIngestEngine {
                 return Err(e);
             }
         };
-        let report = EpochReport {
-            epoch: snapshot.epoch(),
-            applied: total,
-            users_remined: delta.users_recomputed,
-            mode,
-            duration_micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            delta,
-        };
+        let duration_micros = micros_since(start);
+        let epoch = snapshot.epoch();
         let next = Arc::new(snapshot);
         // Record into the history before publishing, so any epoch a
         // reader can observe as latest is already materializable.
+        let started = Instant::now();
         self.history.record(
             next.epoch(),
             previous.crowd(),
@@ -529,7 +533,20 @@ impl ShardedIngestEngine {
             mode,
             total,
         );
+        stages.history_micros = micros_since(started);
+        let started = Instant::now();
         self.cell.store(next);
+        drop(previous);
+        stages.publish_micros = micros_since(started);
+        let report = EpochReport {
+            epoch,
+            applied: total,
+            users_remined: delta.users_recomputed,
+            mode,
+            duration_micros,
+            delta,
+            stages,
+        };
         if let Some(metrics) = &self.metrics {
             metrics.epoch_seconds.observe(start.elapsed().as_secs_f64());
             metrics.dirty_users.set(delta.users_recomputed as i64);

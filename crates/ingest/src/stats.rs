@@ -24,10 +24,35 @@ pub struct EpochReport {
     pub users_remined: usize,
     /// Incremental or full rebuild.
     pub mode: EpochMode,
-    /// Wall-clock time of the epoch, in microseconds.
+    /// Wall-clock time from the queue drain to the built snapshot, in
+    /// microseconds. The history record and the publish follow it; see
+    /// [`EpochReport::stages`].
     pub duration_micros: u64,
     /// How much of the crowd model moved.
     pub delta: CrowdDelta,
+    /// Where the epoch's time went, stage by stage.
+    pub stages: EpochStages,
+}
+
+/// One epoch's wall-clock time by stage, in microseconds. The stages run
+/// one after another and together make up nearly all of the epoch: the
+/// queue drain and the snapshot assembly between them are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EpochStages {
+    /// Merging the batch into the dataset.
+    pub merge_micros: u64,
+    /// Re-preparing the dirty users: the study-window check and the
+    /// sequence splice. On a full rebuild, the whole cold pipeline.
+    pub prepare_micros: u64,
+    /// Re-mining the dirty users across the shards (0 on a full rebuild).
+    pub mine_micros: u64,
+    /// Re-placing the dirty users in the crowd model (0 on a full
+    /// rebuild).
+    pub crowd_micros: u64,
+    /// Recording the epoch into the history ring.
+    pub history_micros: u64,
+    /// Swapping the new snapshot in and releasing the previous one.
+    pub publish_micros: u64,
 }
 
 /// Receipt returned to a submitter.

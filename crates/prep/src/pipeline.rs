@@ -109,15 +109,18 @@ impl Preprocessor {
     /// `dirty` users to `dataset` (which must be the *merged* dataset —
     /// old plus new check-ins).
     ///
-    /// Recomputes the study window on the merged dataset; if it moved —
-    /// or the slotting/scheme no longer match `previous` — the
+    /// Recomputes the study window on the merged dataset (from the
+    /// month counts it keeps, so O(users), not O(check-ins)); if it
+    /// moved — or the slotting/scheme no longer match `previous` — the
     /// incremental shortcut is unsound and [`PrepUpdate::FullRebuild`]
     /// is returned. Otherwise only dirty users are re-filtered and
-    /// re-sequenced; every other user's rows are decoded from
-    /// `previous` unchanged. Because check-ins are append-only, a
+    /// re-sequenced, and their rows are spliced into `previous`'s
+    /// columnar database; every other user's columns are copied over
+    /// without decoding. Because check-ins are append-only, a
     /// previously active user can never fall below the activity
-    /// threshold under the same window, so the result is byte-identical
-    /// to [`Preprocessor::prepare`] on the merged dataset.
+    /// threshold, nor lose an item, under the same window, so the
+    /// result is byte-identical to [`Preprocessor::prepare`] on the
+    /// merged dataset.
     ///
     /// # Errors
     ///
@@ -140,43 +143,30 @@ impl Preprocessor {
             return Ok(PrepUpdate::FullRebuild);
         }
         let filter = ActivityFilter::new(self.min_active_days).slotting(self.slotting);
-        let mut users: Vec<UserId> = previous
-            .users
-            .iter()
-            .copied()
-            .filter(|u| !dirty.contains(u))
-            .collect();
+        let labeler = Labeler::new(dataset, self.scheme);
+        let mut fresh = Vec::new();
         for &user in dirty {
             if filter.is_active(dataset, &window, user) {
-                users.push(user);
-            }
-        }
-        users.sort_unstable();
-        let labeler = Labeler::new(dataset, self.scheme);
-        let mut rows = Vec::with_capacity(users.len());
-        for &user in &users {
-            if dirty.contains(&user) {
-                rows.push(build_user_row(
+                fresh.push(build_user_row(
                     dataset,
                     user,
                     &window,
                     self.slotting,
                     &labeler,
                 )?);
-            } else {
-                match previous.seqdb.decode_user(user) {
-                    Some(row) => rows.push(row),
-                    // A previously active user missing from the previous
-                    // database means `previous` and the merged dataset
-                    // disagree; fall back to a cold build.
-                    None => return Ok(PrepUpdate::FullRebuild),
-                }
+            } else if previous.users.binary_search(&user).is_ok() {
+                // An active user fell below the threshold, which
+                // append-only check-ins cannot do: `previous` and the
+                // merged dataset disagree, so fall back to a cold build.
+                return Ok(PrepUpdate::FullRebuild);
             }
         }
-        let seqdb = SequenceDatabase::from_users(rows);
+        let Some(seqdb) = previous.seqdb.splice(&fresh) else {
+            return Ok(PrepUpdate::FullRebuild);
+        };
         Ok(PrepUpdate::Incremental(Box::new(Prepared {
             window,
-            users,
+            users: seqdb.user_ids().to_vec(),
             slotting: self.slotting,
             scheme: self.scheme,
             seqdb,

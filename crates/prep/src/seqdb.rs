@@ -153,6 +153,124 @@ impl SequenceDatabase {
         }
     }
 
+    /// The database with `fresh` rows spliced in: each replaces the row
+    /// of the same user or, for a user not yet present, is inserted in
+    /// user order. Every other user's columns are copied over as they
+    /// are. Equals [`SequenceDatabase::from_users`] over the full rows
+    /// when a replaced user's items only grew — which holds for
+    /// append-only check-ins under a fixed window, since every old
+    /// check-in keeps its item. The symbols are remapped, keeping their
+    /// order, only when a fresh row brings an item the table lacks.
+    ///
+    /// `None` when that cannot be guaranteed: the users are not in
+    /// ascending order, `fresh` is not, or a fresh row lacks an item of
+    /// the row it replaces.
+    pub(crate) fn splice(&self, fresh: &[UserSequences]) -> Option<SequenceDatabase> {
+        if !self.users.windows(2).all(|w| w[0] < w[1])
+            || !fresh.windows(2).all(|w| w[0].user < w[1].user)
+        {
+            return None;
+        }
+        let mut added: BTreeSet<SeqItem> = BTreeSet::new();
+        for row in fresh {
+            for &item in row.sequences.iter().flatten() {
+                if self.symbols.lookup(&item).is_none() {
+                    added.insert(item);
+                }
+            }
+        }
+        // Old symbol index -> new symbol: identity unless items arrived.
+        let (symbols, remap) = if added.is_empty() {
+            (self.symbols.clone(), None)
+        } else {
+            let mut items = Vec::with_capacity(self.symbols.len() + added.len());
+            let mut remap = Vec::with_capacity(self.symbols.len());
+            let mut added = added.into_iter().peekable();
+            for &old in self.symbols.items() {
+                while let Some(item) = added.next_if(|item| *item < old) {
+                    items.push(item);
+                }
+                remap.push(Symbol::from_index(items.len()));
+                items.push(old);
+            }
+            items.extend(added);
+            (SymbolTable::from_sorted_items(items), Some(remap))
+        };
+
+        let fresh_items: usize = fresh.iter().flat_map(|r| &r.sequences).map(Vec::len).sum();
+        let mut items = Vec::with_capacity(self.items.len() + fresh_items);
+        let mut seq_offsets = Vec::with_capacity(self.seq_offsets.len() + fresh.len());
+        let mut user_offsets = Vec::with_capacity(self.user_offsets.len() + fresh.len());
+        let mut users = Vec::with_capacity(self.users.len() + fresh.len());
+        seq_offsets.push(0u32);
+        user_offsets.push(0u32);
+        let mut old = 0;
+        let mut fresh = fresh.iter().peekable();
+        while old < self.users.len() || fresh.peek().is_some() {
+            let next_old = self.users.get(old).copied();
+            match fresh.next_if(|row| next_old.is_none_or(|u| row.user <= u)) {
+                Some(row) => {
+                    if next_old == Some(row.user) {
+                        let kept: BTreeSet<&SeqItem> = row.sequences.iter().flatten().collect();
+                        let (start, end) = self.user_item_range(old);
+                        let lost = self.items[start..end]
+                            .iter()
+                            .any(|&s| !kept.contains(self.symbols.resolve(s)));
+                        if lost {
+                            return None;
+                        }
+                        old += 1;
+                    }
+                    for day in &row.sequences {
+                        items.extend(
+                            day.iter()
+                                .map(|item| symbols.lookup(item).expect("interned above")),
+                        );
+                        seq_offsets
+                            .push(u32::try_from(items.len()).expect("more than u32::MAX items"));
+                    }
+                    users.push(row.user);
+                }
+                None => {
+                    let (start, end) = self.user_item_range(old);
+                    let base = items.len();
+                    match &remap {
+                        None => items.extend_from_slice(&self.items[start..end]),
+                        Some(remap) => {
+                            items.extend(self.items[start..end].iter().map(|s| remap[s.index()]))
+                        }
+                    }
+                    let seqs = self.user_offsets[old] as usize..self.user_offsets[old + 1] as usize;
+                    for &offset in &self.seq_offsets[seqs.start + 1..=seqs.end] {
+                        let shifted = base + (offset as usize - start);
+                        seq_offsets.push(u32::try_from(shifted).expect("more than u32::MAX items"));
+                    }
+                    users.push(self.users[old]);
+                    old += 1;
+                }
+            }
+            user_offsets
+                .push(u32::try_from(seq_offsets.len() - 1).expect("more than u32::MAX sequences"));
+        }
+        Some(SequenceDatabase {
+            symbols,
+            items,
+            seq_offsets,
+            user_offsets,
+            users,
+        })
+    }
+
+    /// The `items` range of the `index`-th user.
+    fn user_item_range(&self, index: usize) -> (usize, usize) {
+        let first_seq = self.user_offsets[index] as usize;
+        let end_seq = self.user_offsets[index + 1] as usize;
+        (
+            self.seq_offsets[first_seq] as usize,
+            self.seq_offsets[end_seq] as usize,
+        )
+    }
+
     /// Number of users in the database.
     pub fn user_count(&self) -> usize {
         self.users.len()
@@ -553,6 +671,89 @@ mod tests {
             let json = serde_json::to_string(&db).unwrap();
             let back: SequenceDatabase = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(back, db);
+        }
+    }
+
+    fn item(slot: u8, label: u32) -> SeqItem {
+        SeqItem {
+            slot: TimeSlot(slot),
+            label: PlaceLabel(label),
+        }
+    }
+
+    /// Base rows for users 0, 2, 4, ... and the fresh rows of one
+    /// splice: a replaced user keeps every old item and may gain more
+    /// (new days, or items appended to old days), and odd ids are users
+    /// becoming active between the existing ones.
+    fn arb_splice() -> impl Strategy<Value = (Vec<UserSequences>, Vec<UserSequences>)> {
+        (
+            arb_rows(),
+            proptest::collection::vec((0u32..14, 0usize..3, (0u8..12, 0u32..9)), 0..8),
+        )
+            .prop_map(|(base, edits)| {
+                let base: Vec<UserSequences> = base
+                    .into_iter()
+                    .map(|row| UserSequences {
+                        user: UserId::new(row.user.raw() * 2),
+                        sequences: row.sequences,
+                    })
+                    .collect();
+                let mut fresh: std::collections::BTreeMap<u32, UserSequences> =
+                    std::collections::BTreeMap::new();
+                for (user, how, (slot, label)) in edits {
+                    let row = fresh.entry(user).or_insert_with(|| {
+                        base.iter()
+                            .find(|r| r.user.raw() == user)
+                            .cloned()
+                            .unwrap_or(UserSequences {
+                                user: UserId::new(user),
+                                sequences: Vec::new(),
+                            })
+                    });
+                    match (how, row.sequences.last_mut()) {
+                        (0, Some(day)) => day.push(item(slot, label)),
+                        (1, _) => row.sequences.push(vec![item(slot, label)]),
+                        _ => row.sequences.push(Vec::new()),
+                    }
+                }
+                (base, fresh.into_values().collect())
+            })
+    }
+
+    #[test]
+    fn splice_refuses_a_row_that_loses_an_item() {
+        let base = vec![UserSequences {
+            user: UserId::new(1),
+            sequences: vec![vec![item(1, 1), item(2, 2)]],
+        }];
+        let db = SequenceDatabase::from_users(base);
+        let shrunk = UserSequences {
+            user: UserId::new(1),
+            sequences: vec![vec![item(1, 1)]],
+        };
+        assert!(db.splice(&[shrunk]).is_none());
+        let grown = UserSequences {
+            user: UserId::new(1),
+            sequences: vec![vec![item(2, 2), item(1, 1), item(0, 7)]],
+        };
+        assert!(db.splice(&[grown]).is_some());
+    }
+
+    proptest! {
+        /// Splicing fresh rows into a database equals encoding the full
+        /// rows from scratch, for replaced rows that gain items and
+        /// newly active users alike.
+        #[test]
+        fn prop_splice_equals_from_users((base, fresh) in arb_splice()) {
+            let db = SequenceDatabase::from_users(base.clone());
+            let spliced = db.splice(&fresh).expect("rows only grew");
+            let mut full: Vec<UserSequences> = base
+                .into_iter()
+                .filter(|r| fresh.iter().all(|f| f.user != r.user))
+                .chain(fresh.iter().cloned())
+                .collect();
+            full.sort_by_key(|r| r.user);
+            prop_assert_eq!(spliced, SequenceDatabase::from_users(full));
         }
     }
 }

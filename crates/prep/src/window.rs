@@ -50,21 +50,8 @@ impl StudyWindow {
     ///
     /// Returns [`PrepError::EmptyDataset`] for an empty dataset.
     pub fn full(dataset: &Dataset) -> Result<Self, PrepError> {
-        let mut dates = dataset.checkins().iter().map(CheckIn::local_date);
-        let first = dates.next().ok_or(PrepError::EmptyDataset)?;
-        let (mut lo, mut hi) = (first, first);
-        for d in dates {
-            if d < lo {
-                lo = d;
-            }
-            if d > hi {
-                hi = d;
-            }
-        }
-        Ok(StudyWindow {
-            first: lo,
-            last: hi,
-        })
+        let (first, last) = dataset.local_date_range().ok_or(PrepError::EmptyDataset)?;
+        Ok(StudyWindow { first, last })
     }
 
     /// The richest consecutive `months`-month window, as the paper

@@ -102,7 +102,7 @@
 //! Encoding: chunked`, polling the producer only while the socket can
 //! take more — see `DESIGN.md` §13). Every body that is resident
 //! anyway — the rendered maps, GeoJSON and tiles included — is `Full`.
-//! Only `export/checkins` streams: [`CheckinExportStream`] produces it
+//! Only `export/checkins` streams: `CheckinExportStream` produces it
 //! incrementally and it never materializes.
 //!
 //! # Conditional requests
@@ -121,7 +121,7 @@
 //! per epoch. After the `304` check, their handlers consult the city's
 //! [`RenderMemo`](crate::memo::RenderMemo), keyed by the epoch and the
 //! parsed view parameters: a hit copies the memoized bytes, a miss
-//! renders through [`render_view`] and memoizes the `200` body. A
+//! renders through `render_view` and memoizes the `200` body. A
 //! `?epoch=N` hit also skips rematerializing the crowd model.
 //!
 //! Each view's parsing is one resolver with two consumers. The handler
@@ -1988,6 +1988,64 @@ pub(crate) mod tests {
         assert!(body.contains("\"study_window\""));
     }
 
+    /// After epochs that add a user, a venue and check-ins in another
+    /// month, `/stats` (read from the counts the dataset keeps) answers
+    /// byte for byte what a walk over every check-in computes.
+    #[test]
+    fn stats_body_on_a_merged_dataset_matches_a_walk() {
+        let (s, r) = (state(), build_router());
+        let records = [
+            (7, "\"Office #0\"", "Tue Apr 03 13:00:00 +0000 2012"),
+            (
+                900_001,
+                "\"Brand New Cafe\"",
+                "Sun Jul 01 03:30:00 +0000 2012",
+            ),
+            (
+                900_001,
+                "\"Brand New Cafe\"",
+                "Mon Jul 02 23:59:00 +0000 2012",
+            ),
+        ];
+        for (user, venue, time) in records {
+            let json = format!(
+                "{{\"user\":{user},\"venue\":{venue},\"category\":\"Cafe\",\"lat\":40.75,\
+                 \"lon\":-73.99,\"tz_offset_minutes\":-240,\"time\":\"{time}\"}}"
+            );
+            assert_eq!(post(&r, &s, "/api/v1/checkins", &json).0, 200);
+            assert_eq!(post(&r, &s, "/api/v1/ingest/epoch", "").0, 200);
+        }
+        let snap = s.snapshot();
+        let d = snap.dataset();
+        let mut per_user: HashMap<crowdweb_dataset::UserId, usize> = HashMap::new();
+        for c in d.checkins() {
+            *per_user.entry(c.user()).or_insert(0) += 1;
+        }
+        let mut counts: Vec<usize> = per_user.values().copied().collect();
+        counts.sort_unstable();
+        let n = counts.len();
+        let median = if n % 2 == 1 {
+            counts[n / 2] as f64
+        } else {
+            (counts[n / 2 - 1] + counts[n / 2]) as f64 / 2.0
+        };
+        let walked = serde_json::to_string(&StatsDto {
+            total_checkins: d.checkins().len(),
+            user_count: n,
+            venue_count: d.venues().len(),
+            mean_records_per_user: d.checkins().len() as f64 / n as f64,
+            median_records_per_user: median,
+            filtered_users: snap.prepared().user_count(),
+            study_window: snap.prepared().window().to_string(),
+            min_support: snap.min_support(),
+        })
+        .unwrap();
+        for path in ["/api/v1/stats", "/api/stats"] {
+            assert_eq!(get(&r, &s, path), (200, walked.clone()), "{path}");
+        }
+        assert!(per_user.contains_key(&crowdweb_dataset::UserId::new(900_001)));
+    }
+
     /// Asserts one line of Prometheus text exposition is well-formed.
     fn assert_prometheus_line(line: &str) {
         fn valid_name(name: &str) -> bool {
@@ -2277,10 +2335,22 @@ pub(crate) mod tests {
         // Harnesses measure epoch lag from the response body alone.
         let run: serde_json::Value = serde_json::from_str(&body).unwrap();
         assert!(run["duration_micros"].as_u64().unwrap() > 0, "{body}");
+        // The report says where the epoch's time went, stage by stage.
+        let stages = &run["report"]["stages"];
+        for stage in ["merge", "prepare", "mine", "crowd", "history", "publish"] {
+            assert!(
+                stages[format!("{stage}_micros").as_str()]
+                    .as_u64()
+                    .is_some(),
+                "{stage}: {body}"
+            );
+        }
         let (code, body) = get(&r, &s, "/api/ingest/stats");
         assert_eq!(code, 200);
         assert!(body.contains("\"epochs_run\":1"));
         assert!(body.contains("\"total_applied\":1"));
+        let stats: serde_json::Value = serde_json::from_str(&body).unwrap();
+        assert_eq!(stats["last_epoch"]["stages"], *stages, "{body}");
         // The published snapshot advanced and still serves queries.
         assert_eq!(s.snapshot().epoch(), 1);
         let (code, _) = get(&r, &s, "/api/stats");

@@ -78,7 +78,7 @@ pub enum View {
     },
 }
 
-/// The `view` label values, in [`View::index`] order: the five views'
+/// The `view` label values, in `View::index` order: the five views'
 /// path suffixes.
 pub const VIEW_NAMES: [&str; 5] = [
     "crowd",

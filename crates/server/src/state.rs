@@ -186,7 +186,7 @@ impl CityState {
     }
 
     /// All the city's remembered visitor uploads, newest first, each
-    /// with its stable sequence id (see [`UploadRing`]): ids descend
+    /// with its stable sequence id (see `UploadRing`): ids descend
     /// with the listing order and pagination cursors key on them.
     pub fn uploads(&self) -> Vec<(u64, UploadResult)> {
         self.uploads.read().entries.iter().rev().cloned().collect()
